@@ -24,7 +24,6 @@ from .implicitblock import (
     WeightMode,
     backward,
     block_fn,
-    block_jacobian_x,
     forward,
     reconstruct_input,
 )
@@ -45,7 +44,7 @@ from .network import (
     save_model,
     train,
 )
-from .numkit import Rng, glorot_uniform, lu_solve, make_rng, skew_symmetrize, solve_many
+from .numkit import Rng, glorot_uniform, make_rng, skew_symmetrize, solve_many
 from .stabilitylab import (
     SchemeKind,
     SpectralReport,

@@ -10,23 +10,33 @@ ordinary explicit residual step, ``theta = 1`` the fully implicit one, and
 ``theta = 0.5`` a time-symmetric step that can be inverted, which is what
 makes tape-free training possible (see ``reconstruct_input``).
 
-Forward solve strategy, in order:
+Both directions solve the same kind of equation, ``z = c + alpha F(z)``:
+``forward`` finds ``y`` with ``c = x + h(1-theta)F(x)`` and
+``alpha = h theta``, ``reconstruct_input`` finds ``x`` with
+``c = y - h theta F(y)`` and ``alpha = -h(1-theta)``. One routine,
+``_solve_fixed_point``, serves both:
 
-1. linearized closed-form guess  y0 = x + h (I - theta h J_F(x))^-1 F(x),
-   skipped (y0 = x) if that matrix is singular;
-2. fixed-point iteration  y <- x + h (1-theta) F(x) + h theta F(y), which
-   contracts at rate h*theta*L for L-Lipschitz F;
-3. damped gradient descent on 0.5 ||r(y)||^2 with backtracking line search
-   (Armijo constant 1e-4, step halving, at most 40 halvings per step).
+1. fixed-point sweeps ``z <- c + alpha F(z)``, which contract at rate
+   ``|alpha| L`` for L-Lipschitz F;
+2. if they miss the tolerance, damped gradient descent on
+   ``0.5 ||z - c - alpha F(z)||^2`` with backtracking line search (Armijo
+   constant 1e-4, step halving, at most 40 halvings per step).
+
+The caller picks the start point: ``forward`` starts from the linearized
+closed-form guess ``y0 = x + h (I - theta h J_F(x))^-1 F(x)`` (``y0 = x``
+if that matrix is singular), ``reconstruct_input`` from ``x0 = y - h F(y)``.
 
 The backward pass is exact: one transposed linear solve against
 ``(I - h theta dF/dy)`` per layer, then dense chain-rule accumulation for
 the input, weight, and bias gradients. No differentiation through the
-nonlinear solver is ever needed.
+nonlinear solver is ever needed. The initial guess and the backward solve
+both go through ``numkit.solve_many``, one system per batch column.
 
-All operations accept a single state of shape ``(n,)`` or a batch of
-states as columns of an ``(n, B)`` array. On batched input the parameter
-gradients returned by ``backward`` are summed over the batch.
+Internally every state is a batch: an ``(n, B)`` array with one state per
+column. The public functions also accept a single ``(n,)`` state, which
+they treat as a batch of one and return in its own shape; tapes always
+hold ``(n, B)`` arrays. Parameter gradients returned by ``backward`` are
+summed over the batch.
 """
 
 from __future__ import annotations
@@ -153,11 +163,12 @@ class ImplicitBlockConfig:
 
 
 class TapeEntry:
-    """Per-layer cache for the backward pass: x, y and the two Jacobians.
+    """Per-layer cache for the backward pass.
 
-    The Jacobians are materialized lazily from the activation derivatives
-    ``sx = act'(W x + b)`` and ``sy = act'(W y + b)``; for batched states
-    they come out stacked with shape ``(B, n, n)``.
+    Holds the ``(n, B)`` states ``x`` and ``y``, the activation derivatives
+    ``sx = act'(W x + b)`` and ``sy = act'(W y + b)`` of the same shape, and
+    the effective weight ``w``. Column ``j``'s Jacobian ``dF/dx`` is
+    ``sx[:, j, None] * w``, and likewise for ``y``.
     """
 
     __slots__ = ("x", "y", "sx", "sy", "w")
@@ -169,56 +180,30 @@ class TapeEntry:
         self.sy = sy
         self.w = w
 
-    def _jac(self, s: np.ndarray) -> np.ndarray:
-        if s.ndim == 1:
-            return s[:, None] * self.w
-        return s.T[:, :, None] * self.w[None, :, :]
 
-    @property
-    def jx(self) -> np.ndarray:
-        """d F / d x evaluated at the stored input."""
-        return self._jac(self.sx)
-
-    @property
-    def jy(self) -> np.ndarray:
-        """d F / d y evaluated at the stored output."""
-        return self._jac(self.sy)
-
-
-def _check_state(params: BlockParams, v: np.ndarray) -> np.ndarray:
+def _columns(params: BlockParams, v) -> np.ndarray:
+    """Validate a state ``(n,)`` or batch ``(n, B)`` and return it as ``(n, B)``."""
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != params.width:
         raise DimensionMismatchError(
             f"state shape {v.shape} does not match block width {params.width}"
         )
-    return v
+    return v[:, None] if v.ndim == 1 else v
+
+
+def _like(out: np.ndarray, v) -> np.ndarray:
+    """Return the ``(n, B)`` result ``out`` in the layout of the caller's ``v``."""
+    # Not a reshape: a fresh view per layer would add an array header to every tape.
+    return out[:, 0] if np.ndim(v) == 1 else out
 
 
 def _affine(w: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return w @ v + (b if v.ndim == 1 else b[:, None])
+    return w @ v + b[:, None]
 
 
 def block_fn(params: BlockParams, act: ActivationKind, v) -> np.ndarray:
     """Evaluate ``F(v) = act(W v + b)``."""
-    v = _check_state(params, v)
-    return act.apply(_affine(params.effective_weight(), params.b, v))
-
-
-def block_jacobian_x(params: BlockParams, act: ActivationKind, v) -> np.ndarray:
-    """Jacobian ``diag(act'(W v + b)) @ W`` of ``block_fn`` at ``v``."""
-    v = _check_state(params, v)
-    w = params.effective_weight()
-    s = act.deriv(_affine(w, params.b, v))
-    if s.ndim == 1:
-        return s[:, None] * w
-    return s.T[:, :, None] * w[None, :, :]
-
-
-def _solve_columns(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # mats: (n, n) with rhs (n,), or (B, n, n) with rhs (n, B).
-    if rhs.ndim == 1:
-        return numkit.lu_solve(mats, rhs)
-    return numkit.solve_many(mats, rhs.T).T
+    return _like(act.apply(_affine(params.effective_weight(), params.b, _columns(params, v))), v)
 
 
 _EYE_CACHE: dict[int, np.ndarray] = {}
@@ -233,12 +218,66 @@ def _eye(n: int) -> np.ndarray:
     return m
 
 
-def _shifted_identity(w_scaled: np.ndarray, s: np.ndarray, coeff: float) -> np.ndarray:
-    """Stack of ``I - coeff * diag(s_col) @ W`` over the columns of ``s``."""
-    eye = _eye(w_scaled.shape[0])
-    if s.ndim == 1:
-        return eye - coeff * (s[:, None] * w_scaled)
-    return eye[None, :, :] - coeff * (s.T[:, :, None] * w_scaled[None, :, :])
+def _shifted_identity(w: np.ndarray, s: np.ndarray, coeff: float) -> np.ndarray:
+    """Stack of ``I - coeff * diag(s[:, j]) @ W`` over the columns ``j`` of ``s``."""
+    return _eye(w.shape[0]) - coeff * (s.T[:, :, None] * w)
+
+
+def _solve_fixed_point(cfg, w, b, c, alpha, z, restart, what):
+    """Solve ``z = c + alpha F(z)`` for the ``(n, B)`` state ``z``.
+
+    The fixed-point sweeps start at ``z``; if they blow up, the residual
+    descent restarts from ``restart``. Returns ``(z, F(z))`` with
+    ``max |z - c - alpha F(z)| <= cfg.solver_tol``, or raises
+    ``SolverDivergedError`` carrying the final residual.
+    """
+    act = cfg.activation
+    tol = cfg.solver_tol
+
+    # Fixed-point sweeps. The update z_next = c + alpha F(z) makes
+    # |z_next - z| exactly the residual norm of the current iterate.
+    for _ in range(cfg.solver_max_iter + 1):
+        fz = act.apply(_affine(w, b, z))
+        z_next = c + alpha * fz
+        res = float(np.abs(z_next - z).max())
+        if res <= tol:
+            return z, fz
+        if not np.isfinite(res):
+            break
+        z = z_next
+
+    # Damped descent on 0.5 ||r(z)||^2, r(z) = z - c - alpha F(z).
+    if not np.all(np.isfinite(z)):
+        z = restart.copy()
+    for _ in range(cfg.solver_max_iter):
+        u = _affine(w, b, z)
+        fz = act.apply(u)
+        r = z - c - alpha * fz
+        res = float(np.abs(r).max())
+        if res <= tol:
+            return z, fz
+        grad = r - alpha * (w.T @ (act.deriv(u) * r))
+        gsq = float((grad * grad).sum())
+        phi = 0.5 * float((r * r).sum())
+        step = 1.0
+        accepted = False
+        for _ in range(MAX_HALVINGS):
+            z_try = z - step * grad
+            r_try = z_try - c - alpha * act.apply(_affine(w, b, z_try))
+            if 0.5 * float((r_try * r_try).sum()) <= phi - ARMIJO_C * step * gsq:
+                z = z_try
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    fz = act.apply(_affine(w, b, z))
+    res = float(np.abs(z - c - alpha * fz).max())
+    if res <= tol:
+        return z, fz
+    raise SolverDivergedError(
+        f"{what} stalled at residual {res:.3e} (tol {tol:.1e})", residual=res
+    )
 
 
 def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarray, TapeEntry]:
@@ -247,84 +286,28 @@ def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarra
     The returned ``y`` satisfies
     ``max |y - x - h(1-theta)F(x) - h theta F(y)| <= cfg.solver_tol``.
     """
-    x = _check_state(params, x)
+    xc = _columns(params, x)
     w = params.effective_weight()
     b = params.b
     act = cfg.activation
     theta, h = cfg.theta, cfg.h
 
-    u_x = _affine(w, b, x)
-    fx = act.apply(u_x)
+    fx = act.apply(_affine(w, b, xc))
     sx = act.deriv_from_value(fx)
 
     if theta == 0.0:
         # Same arithmetic as the explicit residual step x + h F(x).
-        y = x + h * fx
-        sy = act.deriv_from_value(act.apply(_affine(w, b, y)))
-        return y, TapeEntry(x, y, sx, sy, w)
-
-    h_theta = h * theta
-    base = x + (h * (1.0 - theta)) * fx
-
-    # Phase 1: linearized closed-form estimate.
-    try:
-        shift = _solve_columns(_shifted_identity(w, sx, h_theta), h * fx)
-        y = x + shift
-    except SingularMatrixError:
-        y = x.copy()
-
-    # Phase 2: fixed-point iteration. The update y_next = base + h theta F(y)
-    # makes |y_next - y| exactly the residual norm of the current iterate.
-    for _ in range(cfg.solver_max_iter + 1):
+        y = xc + h * fx
         fy = act.apply(_affine(w, b, y))
-        y_next = base + h_theta * fy
-        res = float(np.abs(y_next - y).max())
-        if res <= cfg.solver_tol:
-            return y, TapeEntry(x, y, sx, act.deriv_from_value(fy), w)
-        if not np.isfinite(res):
-            break
-        y = y_next
-
-    # Phase 3: damped residual descent.
-    y, u_y = _residual_descent(cfg, w, b, base, y if np.all(np.isfinite(y)) else x.copy())
-    return y, TapeEntry(x, y, sx, act.deriv(u_y), w)
-
-
-def _residual_descent(cfg, w, b, base, y):
-    """Backtracking gradient descent on 0.5 ||r(y)||^2, r(y) = y - base - h th F(y)."""
-    act = cfg.activation
-    h_theta = cfg.h * cfg.theta
-    for _ in range(cfg.solver_max_iter):
-        u_y = _affine(w, b, y)
-        r = y - base - h_theta * act.apply(u_y)
-        res = float(np.abs(r).max())
-        if res <= cfg.solver_tol:
-            return y, u_y
-        sy = act.deriv(u_y)
-        grad = r - h_theta * (w.T @ (sy * r))
-        gsq = float((grad * grad).sum())
-        phi = 0.5 * float((r * r).sum())
-        step = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            y_try = y - step * grad
-            r_try = y_try - base - h_theta * act.apply(_affine(w, b, y_try))
-            if 0.5 * float((r_try * r_try).sum()) <= phi - ARMIJO_C * step * gsq:
-                y = y_try
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    u_y = _affine(w, b, y)
-    r = y - base - h_theta * act.apply(u_y)
-    res = float(np.abs(r).max())
-    if res <= cfg.solver_tol:
-        return y, u_y
-    raise SolverDivergedError(
-        f"block solver stalled at residual {res:.3e} (tol {cfg.solver_tol:.1e})",
-        residual=res,
-    )
+    else:
+        h_theta = h * theta
+        try:
+            y0 = xc + numkit.solve_many(_shifted_identity(w, sx, h_theta), (h * fx).T).T
+        except SingularMatrixError:
+            y0 = xc.copy()
+        base = xc + (h * (1.0 - theta)) * fx
+        y, fy = _solve_fixed_point(cfg, w, b, base, h_theta, y0, xc, "block solver")
+    return _like(y, x), TapeEntry(xc, y, sx, act.deriv_from_value(fy), w)
 
 
 def backward(
@@ -342,9 +325,11 @@ def backward(
     h(1-theta) and the y evaluation weighted by h theta) unless
     ``cfg.paper_param_grad`` drops the y route.
     """
-    g = np.asarray(grad_y, dtype=float)
+    g = _columns(params, grad_y)
     if g.shape != tape.y.shape:
-        raise DimensionMismatchError(f"grad_y shape {g.shape} does not match y {tape.y.shape}")
+        raise DimensionMismatchError(
+            f"grad_y shape {np.shape(grad_y)} does not match y {tape.y.shape}"
+        )
     w = tape.w
     theta, h = cfg.theta, cfg.h
     h_theta = h * theta
@@ -353,44 +338,30 @@ def backward(
     if theta == 0.0:
         wvec = g
     else:
-        # (I - h theta jy)^T solve, built directly as I - h theta W^T diag(sy).
-        if g.ndim == 1:
-            m = _eye(params.width) - h_theta * (w.T * tape.sy[None, :])
-            wvec = numkit.lu_solve(m, g)
-        else:
-            mats = _eye(params.width)[None, :, :] - h_theta * (
-                w.T[None, :, :] * tape.sy.T[:, None, :]
-            )
-            wvec = numkit.solve_many(mats, g.T).T
+        # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
+        mats = _shifted_identity(w, tape.sy, h_theta).transpose(0, 2, 1)
+        wvec = numkit.solve_many(mats, g.T).T
 
     px = tape.sx * wvec
     py = tape.sy * wvec
     grad_x = wvec + h_one_minus * (w.T @ px)
-
-    if g.ndim == 1:
-        grad_w = h_one_minus * np.outer(px, tape.x)
-        grad_b = h_one_minus * px
-        if not cfg.paper_param_grad:
-            grad_w = grad_w + h_theta * np.outer(py, tape.y)
-            grad_b = grad_b + h_theta * py
-    else:
-        grad_w = h_one_minus * (px @ tape.x.T)
-        grad_b = h_one_minus * px.sum(axis=1)
-        if not cfg.paper_param_grad:
-            grad_w = grad_w + h_theta * (py @ tape.y.T)
-            grad_b = grad_b + h_theta * py.sum(axis=1)
+    grad_w = h_one_minus * (px @ tape.x.T)
+    grad_b = h_one_minus * px.sum(axis=1)
+    if not cfg.paper_param_grad:
+        grad_w = grad_w + h_theta * (py @ tape.y.T)
+        grad_b = grad_b + h_theta * py.sum(axis=1)
 
     if params.mode is WeightMode.SKEW_SYMMETRIC:
         grad_a = grad_w - grad_w.T
     else:
         grad_a = grad_w
-    return grad_x, grad_a, grad_b
+    return _like(grad_x, grad_y), grad_a, grad_b
 
 
 def make_tape(cfg: ImplicitBlockConfig, params: BlockParams, x, y) -> TapeEntry:
     """Rebuild a tape from known endpoint states (the tape-free path)."""
-    x = _check_state(params, x)
-    y = _check_state(params, y)
+    x = _columns(params, x)
+    y = _columns(params, y)
     w = params.effective_weight()
     act = cfg.activation
     sx = act.deriv(_affine(w, params.b, x))
@@ -401,66 +372,24 @@ def make_tape(cfg: ImplicitBlockConfig, params: BlockParams, x, y) -> TapeEntry:
 def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.ndarray:
     """Invert the block: recover ``x`` from ``y`` without any stored tape.
 
-    Solves ``x = y - h(1-theta)F(x) - h theta F(y)`` by fixed-point
-    iteration from ``x0 = y - h F(y)``; for ``theta = 1`` the inverse is
-    explicit and returned after a single evaluation. Convergence requires
-    ``h (1-theta) Lip(F) < 1``, which the time-symmetric ``theta = 0.5``
-    blocks used for reversible training satisfy by construction whenever
-    their own forward iteration does.
+    Solves ``x = y - h theta F(y) - h(1-theta)F(x)`` with the block's
+    solver, started from ``x0 = y - h F(y)``; for ``theta = 1`` the inverse
+    is explicit and returned after a single evaluation. The fixed-point
+    sweeps converge when ``h (1-theta) Lip(F) < 1``, which the
+    time-symmetric ``theta = 0.5`` blocks used for reversible training
+    satisfy by construction whenever their own forward iteration does.
     """
-    y = _check_state(params, y)
+    yc = _columns(params, y)
     w = params.effective_weight()
     b = params.b
     act = cfg.activation
     theta, h = cfg.theta, cfg.h
 
-    fy = act.apply(_affine(w, b, y))
-    if theta == 1.0:
-        return y - h * fy
-    const = y - (h * theta) * fy
-    h_one_minus = h * (1.0 - theta)
-    x = y - h * fy
-    for _ in range(cfg.solver_max_iter + 1):
-        fx = act.apply(_affine(w, b, x))
-        x_next = const - h_one_minus * fx
-        res = float(np.abs(x_next - x).max())
-        if res <= cfg.solver_tol:
-            return x
-        if not np.isfinite(res):
-            break
-        x = x_next
-
-    # Damped descent on the reconstruction residual r(x) = x - const + h(1-th)F(x).
-    if not np.all(np.isfinite(x)):
-        x = y - h * fy
-    for _ in range(cfg.solver_max_iter):
-        u_x = _affine(w, b, x)
-        r = x - const + h_one_minus * act.apply(u_x)
-        res = float(np.abs(r).max())
-        if res <= cfg.solver_tol:
-            return x
-        sxv = act.deriv(u_x)
-        grad = r + h_one_minus * (w.T @ (sxv * r))
-        gsq = float((grad * grad).sum())
-        phi = 0.5 * float((r * r).sum())
-        step = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS):
-            x_try = x - step * grad
-            r_try = x_try - const + h_one_minus * act.apply(_affine(w, b, x_try))
-            if 0.5 * float((r_try * r_try).sum()) <= phi - ARMIJO_C * step * gsq:
-                x = x_try
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    u_x = _affine(w, b, x)
-    r = x - const + h_one_minus * act.apply(u_x)
-    res = float(np.abs(r).max())
-    if res <= cfg.solver_tol:
-        return x
-    raise SolverDivergedError(
-        f"input reconstruction stalled at residual {res:.3e} (tol {cfg.solver_tol:.1e})",
-        residual=res,
-    )
+    fy = act.apply(_affine(w, b, yc))
+    x = yc - h * fy
+    if theta != 1.0:
+        const = yc - (h * theta) * fy
+        x, _ = _solve_fixed_point(
+            cfg, w, b, const, -(h * (1.0 - theta)), x, x, "input reconstruction"
+        )
+    return _like(x, y)

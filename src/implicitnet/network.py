@@ -82,13 +82,11 @@ class ModelSpec:
             raise ValueError("h is undefined for depth-0 models")
         return self.horizon / self.depth
 
-    def block_config(self, solver_tol: float = 1e-10, solver_max_iter: int = 100) -> ImplicitBlockConfig:
+    def block_config(self) -> ImplicitBlockConfig:
         return ImplicitBlockConfig(
             theta=self.theta,
             h=self.h,
             activation=self.activation,
-            solver_tol=solver_tol,
-            solver_max_iter=solver_max_iter,
             paper_param_grad=self.paper_param_grad,
         )
 
@@ -99,7 +97,10 @@ class Affine:
     b: np.ndarray
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.w @ v + (self.b if v.ndim == 1 else self.b[:, None])
+        """Map the ``(in, B)`` batch ``v`` to ``(out, B)``."""
+        if v.ndim != 2:
+            raise DimensionMismatchError(f"expected an (in, B) batch, got shape {v.shape}")
+        return self.w @ v + self.b[:, None]
 
 
 @dataclass
@@ -171,7 +172,10 @@ def init_model(spec: ModelSpec, seed) -> Model:
 
 
 def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
-    """Run the whole stack; returns (out, proj_preact, last_hidden, tapes)."""
+    """Run the whole stack on an ``(input_dim, B)`` batch.
+
+    Returns ``(out, proj_preact, last_hidden, tapes)``, all with B columns.
+    """
     hid = m.lift.apply(x)
     tapes: list[ib.TapeEntry] = []
     if m.blocks:
@@ -192,16 +196,16 @@ def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
 def model_forward(m: Model, x) -> tuple[np.ndarray, list[ib.TapeEntry]]:
     """Evaluate the model on one state ``(input_dim,)`` or a batch ``(input_dim, B)``."""
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != m.spec.input_dim:
+    if x.ndim not in (1, 2) or x.shape[0] != m.spec.input_dim:
         raise DimensionMismatchError(
             f"input shape {x.shape} does not match input_dim {m.spec.input_dim}"
         )
-    out, _, _, tapes = _forward_arrays(m, x)
-    return out, tapes
+    out, _, _, tapes = _forward_arrays(m, x[:, None] if x.ndim == 1 else x)
+    return out.reshape((m.spec.output_dim,) + x.shape[1:]), tapes
 
 
 def _data_loss(kind: LossKind, out: np.ndarray, targets: np.ndarray) -> float:
-    batch = 1 if out.ndim == 1 else out.shape[1]
+    batch = out.shape[1]
     if kind is LossKind.SQUARED_ERROR:
         d = out - targets
         return 0.5 * float((d * d).sum()) / batch
@@ -211,7 +215,7 @@ def _data_loss(kind: LossKind, out: np.ndarray, targets: np.ndarray) -> float:
 
 
 def _data_loss_grad(kind: LossKind, out: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    batch = 1 if out.ndim == 1 else out.shape[1]
+    batch = out.shape[1]
     if kind is LossKind.SQUARED_ERROR:
         return (out - targets) / batch
     p = np.clip(out, P_EPS, 1.0 - P_EPS)
@@ -261,41 +265,34 @@ def _loss_and_grad_arrays(
 
     d_out = _data_loss_grad(kind, out, targets)
     d_o = m.spec.output_activation.deriv(o) * d_out
-    if d_o.ndim == 1:
-        proj_w = np.outer(d_o, hid)
-        proj_b = d_o.copy()
-    else:
-        proj_w = d_o @ hid.T
-        proj_b = d_o.sum(axis=1)
+    proj_w = d_o @ hid.T
+    proj_b = d_o.sum(axis=1)
     d_hid = m.proj.w.T @ d_o
 
     block_a: list[np.ndarray] = [None] * len(m.blocks)
     block_b: list[np.ndarray] = [None] * len(m.blocks)
     if m.blocks:
         cfg = m.spec.block_config()
-        if reversible:
-            y = hid
-            for i in range(len(m.blocks) - 1, -1, -1):
-                blk = m.blocks[i]
-                x_rec = ib.reconstruct_input(cfg, blk, y)
+        y = hid
+        for i in range(len(m.blocks) - 1, -1, -1):
+            blk = m.blocks[i]
+            if reversible:
+                try:
+                    x_rec = ib.reconstruct_input(cfg, blk, y)
+                except SolverDivergedError as exc:
+                    exc.layer = i
+                    raise
                 tape = ib.make_tape(cfg, blk, x_rec, y)
-                d_hid, ga, gb = ib.backward(cfg, blk, tape, d_hid)
-                block_a[i], block_b[i] = ga, gb
                 y = x_rec
-        else:
-            for i in range(len(m.blocks) - 1, -1, -1):
-                d_hid, ga, gb = ib.backward(cfg, m.blocks[i], tapes[i], d_hid)
-                block_a[i], block_b[i] = ga, gb
+            else:
+                tape = tapes[i]
+            d_hid, block_a[i], block_b[i] = ib.backward(cfg, blk, tape, d_hid)
         for i, (rga, rgb) in enumerate(reg_grads):
             block_a[i] = block_a[i] + rga
             block_b[i] = block_b[i] + rgb
 
-    if d_hid.ndim == 1:
-        lift_w = np.outer(d_hid, x)
-        lift_b = d_hid.copy()
-    else:
-        lift_w = d_hid @ x.T
-        lift_b = d_hid.sum(axis=1)
+    lift_w = d_hid @ x.T
+    lift_b = d_hid.sum(axis=1)
     input_grad = m.lift.w.T @ d_hid
 
     grads = ModelGrads(lift_w, lift_b, block_a, block_b, proj_w, proj_b)

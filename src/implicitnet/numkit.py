@@ -17,9 +17,6 @@ from .errors import DimensionMismatchError, SingularMatrixError
 # Seeded generator type used throughout the package.
 Rng = np.random.Generator
 
-# A pivot below this fraction of the largest input entry counts as singular.
-PIVOT_RTOL = 1e-13
-
 
 def make_rng(seed: int) -> Rng:
     """Return a PCG64 generator seeded with ``seed``."""
@@ -32,52 +29,30 @@ def _require_square(a: np.ndarray) -> int:
     return a.shape[0]
 
 
-def lu_solve(a, rhs) -> np.ndarray:
-    """Solve ``a @ x = rhs`` by LU factorization with partial pivoting.
+def solve_many(mats, rhs) -> np.ndarray:
+    """Solve a stack of dense systems ``mats[i] @ x[i] = rhs[i]``.
 
-    Parameters
-    ----------
-    a : (n, n) array_like
-    rhs : (n,) array_like
+    ``mats`` is ``(K, n, n)`` and ``rhs`` is ``(K, n)``; the result is
+    ``(K, n)``. This is the package's only linear solve: LAPACK's
+    partial-pivot LU through ``numpy.linalg.solve``, all K systems in one
+    call. A single system is a stack of one.
 
     Raises
     ------
     SingularMatrixError
-        If any pivot magnitude falls to or below ``PIVOT_RTOL`` times the
-        largest entry magnitude of the input matrix.
+        If any matrix in the stack is exactly singular (LAPACK meets a zero
+        pivot) or the solution holds a NaN or an infinity. Nearly singular
+        matrices pass; their solutions carry the rounding error their
+        conditioning implies.
     DimensionMismatchError
-        If ``a`` is not square or ``rhs`` has the wrong length.
+        If ``mats`` is not a stack of square matrices matching ``rhs``.
     """
-    a = np.array(a, dtype=float)
-    x = np.array(rhs, dtype=float)
-    n = _require_square(a)
-    if x.shape != (n,):
-        raise DimensionMismatchError(f"rhs shape {x.shape} does not match matrix size {n}")
-    tol = PIVOT_RTOL * (np.abs(a).max() if n else 0.0)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= tol:
-            raise SingularMatrixError(
-                f"pivot {a[p, k]:.3e} at column {k} below threshold {tol:.3e}"
-            )
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            x[[k, p]] = x[[p, k]]
-        m = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(m, a[k, k + 1 :])
-        x[k + 1 :] -= m * x[k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x
-
-
-def solve_many(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve a stack of dense systems ``mats[i] @ x[i] = rhs[i]``.
-
-    Backed by LAPACK's partial-pivot LU through ``numpy.linalg.solve``;
-    used on the hot training path where per-sample systems are solved in
-    one call. Exactly singular stacks raise ``SingularMatrixError``.
-    """
+    mats = np.asarray(mats, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or rhs.shape != mats.shape[:2]:
+        raise DimensionMismatchError(
+            f"cannot solve stack {mats.shape} against right-hand sides {rhs.shape}"
+        )
     try:
         sol = np.linalg.solve(mats, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:

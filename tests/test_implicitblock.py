@@ -16,7 +16,6 @@ from implicitnet.implicitblock import (
     WeightMode,
     backward,
     block_fn,
-    block_jacobian_x,
     forward,
     make_tape,
     reconstruct_input,
@@ -70,16 +69,22 @@ class TestBlockFn:
             block_fn(p, ActivationKind.TANH, np.ones(3))
 
 
+def jacobian_x(params, act, v):
+    """dF/dv at the state ``v`` as backward uses it: ``sx[:, 0, None] * w`` of a tape."""
+    tape = make_tape(ImplicitBlockConfig(theta=0.5, h=1.0, activation=act), params, v, v)
+    return tape.sx[:, 0, None] * tape.w
+
+
 class TestBlockJacobian:
     def test_identity_activation_gives_weight(self):
         rng = numkit.make_rng(0)
         a = rng.standard_normal((3, 3))
         p = BlockParams(a, rng.standard_normal(3))
-        np.testing.assert_array_equal(block_jacobian_x(p, ActivationKind.IDENTITY, rng.standard_normal(3)), a)
+        np.testing.assert_array_equal(jacobian_x(p, ActivationKind.IDENTITY, rng.standard_normal(3)), a)
 
     def test_relu_dead_region_is_zero(self):
         p = BlockParams(np.eye(2), np.array([-5.0, -5.0]))
-        j = block_jacobian_x(p, ActivationKind.RELU, np.array([0.5, 0.5]))
+        j = jacobian_x(p, ActivationKind.RELU, np.array([0.5, 0.5]))
         np.testing.assert_array_equal(j, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("act", [ActivationKind.TANH, ActivationKind.SIGMOID])
@@ -87,7 +92,7 @@ class TestBlockJacobian:
         rng = numkit.make_rng(3)
         p = BlockParams(rng.standard_normal((4, 4)) * 0.6, rng.standard_normal(4) * 0.3)
         v = rng.standard_normal(4)
-        j = block_jacobian_x(p, act, v)
+        j = jacobian_x(p, act, v)
         eps = 1e-6
         for k in range(4):
             e = np.zeros(4)
@@ -177,7 +182,7 @@ class TestForward:
         cfg, p = random_block(rng, 3, theta=0.5, h=0.3)
         xb = rng.standard_normal((3, 6))
         yb, tape = forward(cfg, p, xb)
-        assert tape.jx.shape == (6, 3, 3)
+        assert tape.sx.shape == tape.sy.shape == (3, 6)
         for i in range(6):
             yi, _ = forward(cfg, p, xb[:, i])
             assert np.abs(yb[:, i] - yi).max() <= 1e-9
@@ -191,7 +196,9 @@ class TestBackward:
         y, tape = forward(cfg, p, x)
         g = rng.standard_normal(3)
         gx, _, _ = backward(cfg, p, tape, g)
-        expected = (np.eye(3) + cfg.h * tape.jx).T @ g
+        w = p.effective_weight()
+        jx = cfg.activation.deriv(w @ x + p.b)[:, None] * w
+        expected = (np.eye(3) + cfg.h * jx).T @ g
         np.testing.assert_allclose(gx, expected, atol=1e-14)
 
     def test_scalar_analytic_values(self):
@@ -281,6 +288,34 @@ class TestReconstructInput:
         y, _ = forward(cfg, p, x)
         back = reconstruct_input(cfg, p, y)
         assert np.abs(back - x).max() <= 10 * cfg.solver_tol
+
+    def test_descent_converges_when_sweeps_oscillate(self, monkeypatch):
+        # Identity activation with h (1 - theta) W = 1: the inverse sweep
+        # x <- c - (W x + b) / 2 flips between two points forever, and the
+        # residual descent must find the unique solution x = -b / 2.
+        cfg, p = scalar_block(w=2.0)
+        p.b[:] = 1.0
+        calls = []
+        apply = ActivationKind.apply
+
+        def counted(act, u):
+            calls.append(1)
+            return apply(act, u)
+
+        monkeypatch.setattr(ActivationKind, "apply", counted)
+        x = reconstruct_input(cfg, p, np.array([3.0]))
+        # One F(y), then every sweep, then at least one descent evaluation.
+        assert len(calls) > cfg.solver_max_iter + 2
+        assert abs(x[0] + 0.5) <= cfg.solver_tol
+
+    def test_inconsistent_inverse_raises_with_residual(self):
+        # h (1 - theta) W = -1 cancels x from x = y - (W y + W x) / 2, leaving
+        # 0 = 2 y, which has no solution for y = 1; the residual stays at 2.
+        cfg, p = scalar_block(w=-2.0)
+        with pytest.raises(SolverDivergedError) as err:
+            reconstruct_input(cfg, p, np.array([1.0]))
+        assert err.value.residual == pytest.approx(2.0)
+        assert err.value.residual > cfg.solver_tol
 
 
 class TestConfigValidation:

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from implicitnet import numkit
 from implicitnet.datasets import LabeledSet, SetKind, make_regression
+from implicitnet.errors import DimensionMismatchError
 from implicitnet.implicitblock import ActivationKind, WeightMode
 from implicitnet.network import (
+    Affine,
     LossKind,
     ModelSpec,
     TrainConfig,
@@ -55,7 +57,12 @@ class TestModelForward:
         x = np.array([0.5, 0.25])
         out, tapes = model_forward(m, x)
         assert len(tapes) == 2
-        np.testing.assert_allclose(out, m.proj.w @ m.lift.apply(x) + m.proj.b, atol=1e-12)
+        expected = m.proj.w @ (m.lift.w @ x + m.lift.b) + m.proj.b
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_affine_rejects_single_state(self):
+        with pytest.raises(DimensionMismatchError):
+            Affine(np.eye(2), np.zeros(2)).apply(np.ones(2))
 
     def test_scalar_chain_reproduces_block_value(self):
         spec = ModelSpec(
@@ -196,6 +203,31 @@ class TestLossAndGrad:
         with pytest.raises(SolverDivergedError) as err:
             model_forward(m, np.array([1.0]))
         assert err.value.layer == 1
+
+    def test_reconstruction_divergence_carries_layer_index(self, monkeypatch):
+        from implicitnet import implicitblock
+        from implicitnet.errors import SolverDivergedError
+
+        # Forward and backward run as usual; only the inverse of block 1
+        # fails, so the error must name layer 1 although blocks 2 and 3
+        # were reconstructed before it.
+        m = init_model(small_spec(depth=4), 0)
+        reconstruct = implicitblock.reconstruct_input
+        visited = []
+
+        def failing_at_block_1(cfg, params, y):
+            visited.append(params)
+            if params is m.blocks[1]:
+                raise SolverDivergedError("forced", residual=1.0)
+            return reconstruct(cfg, params, y)
+
+        monkeypatch.setattr(implicitblock, "reconstruct_input", failing_at_block_1)
+        x = np.array([[0.3, -0.2], [0.1, 0.4]])
+        with pytest.raises(SolverDivergedError) as err:
+            _loss_and_grad_arrays(m, x, np.zeros((1, 2)), LossKind.SQUARED_ERROR, True)
+        assert err.value.layer == 1
+        assert err.value.residual == 1.0
+        assert visited == [m.blocks[3], m.blocks[2], m.blocks[1]]
 
 
 def tiny_dataset(seed=0, n=12):
