@@ -5,44 +5,60 @@ networks on both benchmark tasks; prints per-seed results and medians.
 This is the script behind the headline numbers: the regression task
 compares final/initial training MSE and validation MSE, the spiral task
 validation accuracy, under identical budgets for the two architectures.
+Every run is a bundled config from ``configs/`` with only theta and the
+seed replaced (and the epoch count, with ``--epochs``).
 """
 
 import argparse
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from implicitnet.datasets import make_regression, make_spirals
-from implicitnet.implicitblock import ActivationKind, WeightMode
-from implicitnet.network import LossKind, ModelSpec, TrainConfig, evaluate, init_model, train
+from implicitnet.cli import build_data, load_experiment
+from implicitnet.network import evaluate, init_model, train
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# Per task, the (config, theta) of the implicit and of the explicit network.
+COMPARISONS = {
+    "regression": (("ex1_trapezoidal.json", 0.5), ("ex1_trapezoidal.json", 0.0)),
+    "spirals": (("ex2_trapezoidal.json", 0.5), ("ex2_resnet.json", 0.0)),
+}
 
 
-def regression_run(theta, seed, epochs):
-    train_set, val_set = make_regression(2024)
-    spec = ModelSpec(
-        input_dim=1, hidden_dim=5, output_dim=1, depth=10, theta=theta, horizon=6.0,
-        activation=ActivationKind.RELU, weight_mode=WeightMode.SKEW_SYMMETRIC,
-    )
+def load(name, theta, epochs):
+    """A bundled config at ``theta``, its epochs replaced when ``epochs`` is given."""
+    spec, cfg, data_cfg, _ = load_experiment(CONFIGS / name)
+    cfg = replace(cfg, epochs=epochs or cfg.epochs)
+    return replace(spec, theta=theta), cfg, build_data(data_cfg)
+
+
+def regression_run(spec, cfg, data, seed):
+    train_set, val_set = data
     m = init_model(spec, seed)
-    initial = evaluate(m, train_set.inputs, train_set.targets, LossKind.SQUARED_ERROR)[0]
-    rec = train(m, train_set, val_set, TrainConfig(0.01, 4, epochs, seed=seed))
+    initial = evaluate(m, train_set.inputs, train_set.targets, cfg.loss)[0]
+    rec = train(m, train_set, val_set, replace(cfg, seed=seed))
     if rec.diverged:
         return initial, np.inf, np.inf
-    final = evaluate(m, train_set.inputs, train_set.targets, LossKind.SQUARED_ERROR)[0]
+    final = evaluate(m, train_set.inputs, train_set.targets, cfg.loss)[0]
     return initial, final, rec.val_loss[-1]
 
 
-def spiral_run(theta, seed, epochs):
-    train_set, val_set = make_spirals()
-    spec = ModelSpec(
-        input_dim=2, hidden_dim=6, output_dim=1, depth=25, theta=theta, horizon=5.0,
-        activation=ActivationKind.TANH, output_activation=ActivationKind.SIGMOID,
-        weight_mode=WeightMode.SKEW_SYMMETRIC,
-    )
-    m = init_model(spec, seed)
-    cfg = TrainConfig(0.1, 32, epochs, seed=seed, loss=LossKind.BINARY_CROSS_ENTROPY)
-    rec = train(m, train_set, val_set, cfg)
+def spiral_run(spec, cfg, data, seed):
+    train_set, val_set = data
+    rec = train(init_model(spec, seed), train_set, val_set, replace(cfg, seed=seed))
     return 0.0 if rec.diverged else rec.val_accuracy[-1]
+
+
+def header(task, runs):
+    """The table's title line, from the implicit run's loaded config."""
+    spec, cfg, _ = runs[0]
+    return (
+        f"== {task}: depth {spec.depth}, width {spec.hidden_dim}, lr {cfg.learning_rate}, "
+        f"batch {cfg.batch_size}, {cfg.epochs} epochs =="
+    )
 
 
 def main():
@@ -53,32 +69,32 @@ def main():
     args = ap.parse_args()
 
     if args.task in ("regression", "both"):
-        epochs = args.epochs or 500
-        print(f"== regression: depth 10, width 5, lr 0.01, batch 4, {epochs} epochs ==")
-        for theta in (0.5, 0.0):
+        runs = [load(name, theta, args.epochs) for name, theta in COMPARISONS["regression"]]
+        print(header("regression", runs))
+        for spec, cfg, data in runs:
             finals, vals = [], []
             for seed in range(args.seeds):
                 t0 = time.perf_counter()
-                initial, final, val = regression_run(theta, seed, epochs)
+                initial, final, val = regression_run(spec, cfg, data, seed)
                 finals.append(final)
                 vals.append(val)
                 print(
-                    f"  theta={theta} seed={seed}: train MSE {initial:.4f} -> {final:.5f}, "
+                    f"  theta={spec.theta} seed={seed}: train MSE {initial:.4f} -> {final:.5f}, "
                     f"val {val:.5f} ({time.perf_counter() - t0:.0f}s)"
                 )
-            print(f"  theta={theta} medians: train {np.median(finals):.5f}, val {np.median(vals):.5f}")
+            print(f"  theta={spec.theta} medians: train {np.median(finals):.5f}, val {np.median(vals):.5f}")
 
     if args.task in ("spirals", "both"):
-        epochs = args.epochs or 1000
-        print(f"== spirals: depth 25, width 6, lr 0.1, batch 32, {epochs} epochs ==")
-        for theta in (0.5, 0.0):
+        runs = [load(name, theta, args.epochs) for name, theta in COMPARISONS["spirals"]]
+        print(header("spirals", runs))
+        for spec, cfg, data in runs:
             accs = []
             for seed in range(args.seeds):
                 t0 = time.perf_counter()
-                acc = spiral_run(theta, seed, epochs)
+                acc = spiral_run(spec, cfg, data, seed)
                 accs.append(acc)
-                print(f"  theta={theta} seed={seed}: val accuracy {acc:.4f} ({time.perf_counter() - t0:.0f}s)")
-            print(f"  theta={theta} median accuracy: {np.median(accs):.4f}")
+                print(f"  theta={spec.theta} seed={seed}: val accuracy {acc:.4f} ({time.perf_counter() - t0:.0f}s)")
+            print(f"  theta={spec.theta} median accuracy: {np.median(accs):.4f}")
 
 
 if __name__ == "__main__":

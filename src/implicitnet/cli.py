@@ -19,15 +19,16 @@ import numpy as np
 
 from . import datasets, numkit, stabilitylab, svg
 from .errors import ImplicitNetError, ParseError
-from .implicitblock import ActivationKind, WeightMode
+from .implicitblock import ActivationKind
 from .network import (
-    LossKind,
     ModelSpec,
     TrainConfig,
     evaluate,
     gradcheck,
     init_model,
     param_count,
+    read_setting,
+    read_settings,
     save_model,
     train,
 )
@@ -118,49 +119,18 @@ def cmd_gradcheck(args) -> int:
 
 # --------------------------------------------------------------------- train
 
-_MODEL_DEFAULTS = {
-    "horizon": 1.0,
-    "activation": "tanh",
-    "output_activation": "identity",
-    "weight_mode": "raw",
-    "reg_coeff": 0.1,
-    "paper_param_grad": False,
-}
-_MODEL_REQUIRED = ("input_dim", "hidden_dim", "output_dim", "depth", "theta")
-_TRAIN_DEFAULTS = {
-    "learning_rate": 0.01,
-    "batch_size": 4,
-    "epochs": 100,
-    "seed": 0,
-    "loss": "squared_error",
-    "reversible": False,
-}
 _DATA_DEFAULTS = {
     "regression": {"seed": 1234, "n_train": 100, "n_val": 200},
     "spirals": {"n_total": 513},
 }
 
 
-def _section(doc: dict, name: str, required, defaults) -> dict:
-    if name not in doc:
-        raise ParseError(f"missing config section {name!r}")
-    section = doc[name]
-    if not isinstance(section, dict):
-        raise ParseError(f"section {name!r} must be an object")
-    allowed = set(required) | set(defaults)
-    unknown = set(section) - allowed
-    if unknown:
-        raise ParseError(f"unknown key(s) in section {name!r}: {sorted(unknown)}")
-    missing = set(required) - set(section)
-    if missing:
-        raise ParseError(f"missing key(s) in section {name!r}: {sorted(missing)}")
-    merged = dict(defaults)
-    merged.update(section)
-    return merged
-
-
 def load_experiment(path):
-    """Parse an experiment file; unknown keys anywhere are rejected."""
+    """Parse an experiment file into ``(ModelSpec, TrainConfig, data dict, output dir)``.
+
+    Unknown keys anywhere are rejected, and every value must have its
+    setting's JSON type (see ``network.read_setting``).
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -170,56 +140,35 @@ def load_experiment(path):
     unknown = set(doc) - {"model", "train", "data", "output"}
     if unknown:
         raise ParseError(f"unknown top-level key(s): {sorted(unknown)}")
+    for name in ("model", "train", "data"):
+        if name not in doc:
+            raise ParseError(f"missing config section {name!r}")
 
-    mdl = _section(doc, "model", _MODEL_REQUIRED, _MODEL_DEFAULTS)
-    trn = _section(doc, "train", (), _TRAIN_DEFAULTS)
+    spec = read_settings(ModelSpec, "model", doc["model"])
+    cfg = read_settings(TrainConfig, "train", doc["train"])
 
-    if "data" not in doc:
-        raise ParseError("missing config section 'data'")
-    data = dict(doc["data"]) if isinstance(doc["data"], dict) else None
-    if data is None or "name" not in data:
+    data = doc["data"]
+    if not isinstance(data, dict) or "name" not in data:
         raise ParseError("section 'data' must be an object with a 'name' key")
-    name = data.pop("name")
-    if name not in _DATA_DEFAULTS:
+    name = data["name"]
+    defaults = _DATA_DEFAULTS.get(name) if isinstance(name, str) else None
+    if defaults is None:
         raise ParseError(f"unknown dataset name {name!r}")
-    unknown = set(data) - set(_DATA_DEFAULTS[name])
+    unknown = set(data) - set(defaults) - {"name"}
     if unknown:
         raise ParseError(f"unknown key(s) in section 'data': {sorted(unknown)}")
-    data_cfg = dict(_DATA_DEFAULTS[name])
-    data_cfg.update(data)
-    data_cfg["name"] = name
+    data_cfg = dict(defaults, name=name)
+    for key, default in defaults.items():
+        if key in data:
+            data_cfg[key] = read_setting("data", key, type(default), data[key])
 
     if "output" not in doc or not isinstance(doc["output"], str):
         raise ParseError("config needs an 'output' string (directory path)")
-
-    try:
-        spec = ModelSpec(
-            input_dim=int(mdl["input_dim"]),
-            hidden_dim=int(mdl["hidden_dim"]),
-            output_dim=int(mdl["output_dim"]),
-            depth=int(mdl["depth"]),
-            theta=float(mdl["theta"]),
-            horizon=float(mdl["horizon"]),
-            activation=ActivationKind(mdl["activation"]),
-            output_activation=ActivationKind(mdl["output_activation"]),
-            weight_mode=WeightMode(mdl["weight_mode"]),
-            reg_coeff=float(mdl["reg_coeff"]),
-            paper_param_grad=bool(mdl["paper_param_grad"]),
-        )
-        cfg = TrainConfig(
-            learning_rate=float(trn["learning_rate"]),
-            batch_size=int(trn["batch_size"]),
-            epochs=int(trn["epochs"]),
-            seed=int(trn["seed"]),
-            loss=LossKind(trn["loss"]),
-            reversible=bool(trn["reversible"]),
-        )
-    except (ValueError, KeyError) as exc:
-        raise ParseError(f"bad config value: {exc}") from None
     return spec, cfg, data_cfg, doc["output"]
 
 
-def _build_data(data_cfg: dict):
+def build_data(data_cfg: dict):
+    """Train and validation sets named by ``load_experiment``'s data dict."""
     if data_cfg["name"] == "regression":
         return datasets.make_regression(
             data_cfg["seed"], data_cfg["n_train"], data_cfg["n_val"]
@@ -268,7 +217,7 @@ def cmd_train(args) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    train_set, val_set = _build_data(data_cfg)
+    train_set, val_set = build_data(data_cfg)
     model = init_model(spec, cfg.seed)
     print(f"block parameters: {param_count(model, blocks_only=True)}")
     print(f"total parameters: {param_count(model)}")

@@ -17,10 +17,11 @@ Both directions solve the same kind of equation, ``z = c + alpha F(z)``:
 ``_solve_fixed_point``, serves both:
 
 1. fixed-point sweeps ``z <- c + alpha F(z)``, which contract at rate
-   ``|alpha| L`` for L-Lipschitz F;
+   ``|alpha| L`` for L-Lipschitz F, until the residual stops shrinking;
 2. if they miss the tolerance, damped gradient descent on
    ``0.5 ||z - c - alpha F(z)||^2`` with backtracking line search (Armijo
-   constant 1e-4, step halving, at most 40 halvings per step).
+   constant 1e-4, step halving, at most 40 halvings per step), which
+   gives up where the gradient is zero.
 
 The caller picks the start point: ``forward`` starts from the linearized
 closed-form guess ``y0 = x + h (I - theta h J_F(x))^-1 F(x)`` (``y0 = x``
@@ -226,8 +227,9 @@ def _shifted_identity(w: np.ndarray, s: np.ndarray, coeff: float) -> np.ndarray:
 def _solve_fixed_point(cfg, w, b, c, alpha, z, restart, what):
     """Solve ``z = c + alpha F(z)`` for the ``(n, B)`` state ``z``.
 
-    The fixed-point sweeps start at ``z``; if they blow up, the residual
-    descent restarts from ``restart``. Returns ``(z, F(z))`` with
+    The fixed-point sweeps start at ``z``. The residual descent goes on
+    from the last sweep iterate, or from ``restart`` if that iterate is
+    not finite. Returns ``(z, F(z))`` with
     ``max |z - c - alpha F(z)| <= cfg.solver_tol``, or raises
     ``SolverDivergedError`` carrying the final residual.
     """
@@ -235,15 +237,19 @@ def _solve_fixed_point(cfg, w, b, c, alpha, z, restart, what):
     tol = cfg.solver_tol
 
     # Fixed-point sweeps. The update z_next = c + alpha F(z) makes
-    # |z_next - z| exactly the residual norm of the current iterate.
+    # |z_next - z| exactly the residual norm of the current iterate. They
+    # stop once the residual does not shrink; that test is also false for
+    # an infinite or NaN residual.
+    prev = np.inf
     for _ in range(cfg.solver_max_iter + 1):
         fz = act.apply(_affine(w, b, z))
         z_next = c + alpha * fz
         res = float(np.abs(z_next - z).max())
         if res <= tol:
             return z, fz
-        if not np.isfinite(res):
+        if not res < prev:
             break
+        prev = res
         z = z_next
 
     # Damped descent on 0.5 ||r(z)||^2, r(z) = z - c - alpha F(z).
@@ -258,6 +264,9 @@ def _solve_fixed_point(cfg, w, b, c, alpha, z, restart, what):
             return z, fz
         grad = r - alpha * (w.T @ (act.deriv(u) * r))
         gsq = float((grad * grad).sum())
+        if gsq == 0.0:
+            # A stationary point of the residual that is not a root: no step helps.
+            break
         phi = 0.5 * float((r * r).sum())
         step = 1.0
         accepted = False

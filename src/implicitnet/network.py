@@ -16,10 +16,10 @@ and projection parameters stay outside both the regularizer and the
 block-parameter counts.
 """
 
-from __future__ import annotations
-
+# Annotations are not postponed here: ``read_settings`` takes each field's
+# type from ``dataclasses.fields``, which must be the class, not a string.
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -30,6 +30,7 @@ from . import numkit
 from .errors import (
     DimensionMismatchError,
     NonFiniteLossError,
+    ParseError,
     SingularMatrixError,
     SolverDivergedError,
 )
@@ -49,7 +50,11 @@ class LossKind(Enum):
 
 @dataclass
 class ModelSpec:
-    """Architecture hyperparameters; ``h = horizon / depth``."""
+    """Architecture hyperparameters; ``h = horizon / depth``.
+
+    The fields are the keys of a config's ``model`` section and of a
+    checkpoint's ``spec`` (see ``read_settings`` and ``write_settings``).
+    """
 
     input_dim: int
     hidden_dim: int
@@ -113,9 +118,11 @@ class Model:
 
 @dataclass
 class TrainConfig:
-    learning_rate: float
-    batch_size: int
-    epochs: int
+    """Training settings; the fields are the keys of a config's ``train`` section."""
+
+    learning_rate: float = 0.01
+    batch_size: int = 4
+    epochs: int = 100
     seed: int = 0
     loss: LossKind = LossKind.SQUARED_ERROR
     reversible: bool = False
@@ -462,24 +469,64 @@ def gradcheck(
     return GradCheckReport(worst, worst_coord, worst <= tol, checked, group_errors)
 
 
+def read_setting(section: str, key: str, kind: type, value):
+    """Return ``value`` as a ``kind``; ``ParseError`` unless it has that kind's JSON type.
+
+    A bool takes a JSON boolean, an int an integer, a float any number and
+    an enum one of its value names.
+    """
+    if kind is bool:
+        ok, want = isinstance(value, bool), "a boolean"
+    elif kind is int:
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif kind is float:
+        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    else:
+        names = [member.value for member in kind]
+        ok, want = isinstance(value, str) and value in names, f"one of {names}"
+    if not ok:
+        raise ParseError(f"{section}.{key} must be {want}, got {value!r}")
+    return kind(value)
+
+
+def read_settings(cls, section: str, values):
+    """Build the settings dataclass ``cls`` (``ModelSpec``, ``TrainConfig``) from a JSON object.
+
+    Fields without a default are required, missing ones take their
+    default, and each value is checked by ``read_setting``. Anything else
+    raises ``ParseError`` naming ``section``.
+    """
+    if not isinstance(values, dict):
+        raise ParseError(f"section {section!r} must be an object")
+    kinds = {f.name: f.type for f in fields(cls)}
+    unknown = set(values) - set(kinds)
+    if unknown:
+        raise ParseError(f"unknown key(s) in section {section!r}: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in values]
+    if missing:
+        raise ParseError(f"missing key(s) in section {section!r}: {missing}")
+    checked = {key: read_setting(section, key, kinds[key], v) for key, v in values.items()}
+    try:
+        return cls(**checked)
+    except ValueError as exc:
+        raise ParseError(f"bad value in section {section!r}: {exc}") from None
+
+
+def write_settings(settings) -> dict:
+    """The JSON object that ``read_settings`` turns back into ``settings``."""
+    doc = {}
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        doc[f.name] = value.value if isinstance(value, Enum) else value
+    return doc
+
+
 def save_model(m: Model, path) -> None:
     """Write a version-1 JSON checkpoint (exact float round-trip)."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "spec": {
-            "input_dim": m.spec.input_dim,
-            "hidden_dim": m.spec.hidden_dim,
-            "output_dim": m.spec.output_dim,
-            "depth": m.spec.depth,
-            "theta": m.spec.theta,
-            "horizon": m.spec.horizon,
-            "activation": m.spec.activation.value,
-            "output_activation": m.spec.output_activation.value,
-            "weight_mode": m.spec.weight_mode.value,
-            "reg_coeff": m.spec.reg_coeff,
-            "paper_param_grad": m.spec.paper_param_grad,
-        },
+        "spec": write_settings(m.spec),
         "lift": {"w": m.lift.w.tolist(), "b": m.lift.b.tolist()},
         "blocks": [{"a": b.a.tolist(), "b": b.b.tolist()} for b in m.blocks],
         "proj": {"w": m.proj.w.tolist(), "b": m.proj.b.tolist()},
@@ -491,20 +538,7 @@ def load_model(path) -> Model:
     doc = json.loads(Path(path).read_text())
     if doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION} file: {path}")
-    s = doc["spec"]
-    spec = ModelSpec(
-        input_dim=s["input_dim"],
-        hidden_dim=s["hidden_dim"],
-        output_dim=s["output_dim"],
-        depth=s["depth"],
-        theta=s["theta"],
-        horizon=s["horizon"],
-        activation=ActivationKind(s["activation"]),
-        output_activation=ActivationKind(s["output_activation"]),
-        weight_mode=WeightMode(s["weight_mode"]),
-        reg_coeff=s["reg_coeff"],
-        paper_param_grad=s["paper_param_grad"],
-    )
+    spec = read_settings(ModelSpec, "spec", doc["spec"])
     lift = Affine(np.array(doc["lift"]["w"], dtype=float), np.array(doc["lift"]["b"], dtype=float))
     blocks = [
         BlockParams(np.array(b["a"], dtype=float), np.array(b["b"], dtype=float), spec.weight_mode)

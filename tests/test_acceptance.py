@@ -8,6 +8,8 @@ deterministic, so their outcomes are exactly reproducible.
 import itertools
 import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 from implicitnet import numkit
-from implicitnet.datasets import make_regression, make_spirals
+from implicitnet.cli import build_data, load_experiment
 from implicitnet.implicitblock import (
     ActivationKind,
     BlockParams,
@@ -31,7 +33,6 @@ from implicitnet.implicitblock import (
 from implicitnet.network import (
     LossKind,
     ModelSpec,
-    TrainConfig,
     _loss_and_grad_arrays,
     evaluate,
     init_model,
@@ -39,6 +40,15 @@ from implicitnet.network import (
     train,
 )
 from implicitnet.stabilitylab import SchemeKind, TestSystem, energy, integrate, spectral_report
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def bundled(name, theta):
+    """The bundled experiment ``name`` at ``theta``: spec, train config, (train, val) sets."""
+    spec, cfg, data_cfg, _ = load_experiment(CONFIGS / name)
+    return replace(spec, theta=theta), cfg, build_data(data_cfg)
 
 
 def report(num: int, passed: bool, detail: str) -> None:
@@ -183,14 +193,10 @@ def test_criterion_3_gradient_exactness():
 
 
 def test_criterion_4_parameter_counts():
-    deep = init_model(
-        ModelSpec(input_dim=1, hidden_dim=5, output_dim=1, depth=100, theta=0.0), 0
-    )
-    shallow = init_model(
-        ModelSpec(input_dim=1, hidden_dim=5, output_dim=1, depth=10, theta=0.5), 0
-    )
-    c_deep = param_count(deep, blocks_only=True)
-    c_shallow = param_count(shallow, blocks_only=True)
+    deep, _, _, _ = load_experiment(CONFIGS / "ex1_resnet.json")
+    shallow, _, _, _ = load_experiment(CONFIGS / "ex1_trapezoidal.json")
+    c_deep = param_count(init_model(deep, 0), blocks_only=True)
+    c_shallow = param_count(init_model(shallow, 0), blocks_only=True)
     ok = c_deep == 3000 and c_shallow == 300
     report(4, ok, f"depth-100 width-5 blocks {c_deep}, depth-10 width-5 blocks {c_shallow}")
 
@@ -198,45 +204,31 @@ def test_criterion_4_parameter_counts():
 EX1_SEEDS = range(5)
 
 
-def _ex1_spec(theta):
-    return ModelSpec(
-        input_dim=1,
-        hidden_dim=5,
-        output_dim=1,
-        depth=10,
-        theta=theta,
-        horizon=6.0,
-        activation=ActivationKind.RELU,
-        weight_mode=WeightMode.SKEW_SYMMETRIC,
-    )
-
-
 def test_criterion_5_regression_stability_claim():
     with Timer() as t:
-        train_set, val_set = make_regression(2024)
-        cfg = lambda seed: TrainConfig(  # noqa: E731
-            learning_rate=0.01, batch_size=4, epochs=500, seed=seed
-        )
+        spec, cfg, (train_set, val_set) = bundled("ex1_trapezoidal.json", 0.5)
 
         initial, final, val_imp = [], [], []
         implicit_clean = True
         for seed in EX1_SEEDS:
-            m = init_model(_ex1_spec(0.5), seed)
-            initial.append(evaluate(m, train_set.inputs, train_set.targets, LossKind.SQUARED_ERROR)[0])
-            rec = train(m, train_set, val_set, cfg(seed))
+            m = init_model(spec, seed)
+            initial.append(evaluate(m, train_set.inputs, train_set.targets, cfg.loss)[0])
+            rec = train(m, train_set, val_set, replace(cfg, seed=seed))
             if rec.diverged:
                 implicit_clean = False
                 continue
-            final.append(evaluate(m, train_set.inputs, train_set.targets, LossKind.SQUARED_ERROR)[0])
+            final.append(evaluate(m, train_set.inputs, train_set.targets, cfg.loss)[0])
             val_imp.append(rec.val_loss[-1])
 
         ratio = float(np.median(final) / np.median(initial)) if implicit_clean else math.inf
         implicit_ok = implicit_clean and ratio <= 0.1
 
+        # The explicit network of the same depth and budget.
+        explicit = replace(spec, theta=0.0)
         val_exp = []
         for seed in EX1_SEEDS:
-            m = init_model(_ex1_spec(0.0), seed)
-            rec = train(m, train_set, val_set, cfg(seed))
+            m = init_model(explicit, seed)
+            rec = train(m, train_set, val_set, replace(cfg, seed=seed))
             val_exp.append(math.inf if rec.diverged else rec.val_loss[-1])
 
         med_imp = float(np.median(val_imp)) if val_imp else math.inf
@@ -253,33 +245,17 @@ def test_criterion_5_regression_stability_claim():
 
 def test_criterion_6_spirals_comparative_claim():
     with Timer() as t:
-        train_set, val_set = make_spirals()
 
-        def run(theta, seed):
-            spec = ModelSpec(
-                input_dim=2,
-                hidden_dim=6,
-                output_dim=1,
-                depth=25,
-                theta=theta,
-                horizon=5.0,
-                activation=ActivationKind.TANH,
-                output_activation=ActivationKind.SIGMOID,
-                weight_mode=WeightMode.SKEW_SYMMETRIC,
-            )
-            m = init_model(spec, seed)
-            cfg = TrainConfig(
-                learning_rate=0.1,
-                batch_size=32,
-                epochs=1000,
-                seed=seed,
-                loss=LossKind.BINARY_CROSS_ENTROPY,
-            )
-            rec = train(m, train_set, val_set, cfg)
-            return 0.0 if rec.diverged else rec.val_accuracy[-1]
+        def median_accuracy(name, theta):
+            spec, cfg, (train_set, val_set) = bundled(name, theta)
+            accs = []
+            for seed in range(5):
+                rec = train(init_model(spec, seed), train_set, val_set, replace(cfg, seed=seed))
+                accs.append(0.0 if rec.diverged else rec.val_accuracy[-1])
+            return float(np.median(accs))
 
-        acc_imp = float(np.median([run(0.5, s) for s in range(5)]))
-        acc_exp = float(np.median([run(0.0, s) for s in range(5)]))
+        acc_imp = median_accuracy("ex2_trapezoidal.json", 0.5)
+        acc_exp = median_accuracy("ex2_resnet.json", 0.0)
     ok = acc_imp >= acc_exp and acc_imp >= 0.75 and t.elapsed < 600.0
     report(
         6,

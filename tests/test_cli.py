@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +227,31 @@ class TestTrainCommand:
         path.write_text("{not json")
         assert main(["train", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "section,key,override",
+        [
+            ("train", "reversible", {"train": {"reversible": "false"}}),
+            ("model", "paper_param_grad", {"model": {"paper_param_grad": "false"}}),
+            ("model", "depth", {"model": {"depth": 2.5}}),
+            ("model", "depth", {"model": {"depth": 2.0}}),
+            ("model", "theta", {"model": {"theta": "0.5"}}),
+            ("model", "horizon", {"model": {"horizon": None}}),
+            ("model", "hidden_dim", {"model": {"hidden_dim": [3]}}),
+            ("train", "epochs", {"train": {"epochs": None}}),
+            ("train", "learning_rate", {"train": {"learning_rate": [0.05]}}),
+            ("train", "batch_size", {"train": {"batch_size": True}}),
+            ("data", "n_train", {"data": {"name": "regression", "n_train": "100"}}),
+            ("data", "seed", {"data": {"name": "regression", "seed": 1.5}}),
+            ("data", "n_total", {"data": {"name": "spirals", "n_total": None}}),
+        ],
+    )
+    def test_value_of_wrong_json_type_exits_1(self, tmp_path, section, key, override):
+        cfg = small_config(tmp_path, **override)
+        with pytest.raises(ParseError, match=rf"\b{section}\.{key}\b"):
+            load_experiment(cfg)
+        assert main(["train", str(cfg)]) == 1
+        assert not (tmp_path / "run").exists()
+
 
 class TestExperimentConfigs:
     def test_load_experiment_rejects_unknown_top_level(self, tmp_path):
@@ -247,3 +275,23 @@ class TestExperimentConfigs:
         spec, cfg, data_cfg, out = load_experiment(REPO / "configs" / name)
         model = init_model(spec, cfg.seed)
         assert param_count(model, blocks_only=True) == block_params
+
+
+def test_seed_sweep_runs_from_any_directory(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "seed_sweep.py"), "--seeds", "1", "--epochs", "1"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert "== regression: depth 10, width 5, lr 0.01, batch 4, 1 epochs ==" in out
+    assert "== spirals: depth 25, width 6, lr 0.1, batch 32, 1 epochs ==" in out
+    for theta in (0.5, 0.0):
+        assert f"theta={theta} medians: train " in out
+        assert f"theta={theta} median accuracy: " in out

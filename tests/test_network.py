@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from implicitnet.network import (
     save_model,
     train,
 )
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def small_spec(**kw):
@@ -414,6 +417,12 @@ class TestCheckpoint:
             assert b2.mode is WeightMode.SKEW_SYMMETRIC
         x = np.array([0.2, -0.9])
         np.testing.assert_array_equal(model_forward(m, x)[0], model_forward(back, x)[0])
+
+    @pytest.mark.parametrize("run", ["ex1_resnet", "ex1_trapezoidal", "ex2_resnet", "ex2_trapezoidal"])
+    def test_bundled_checkpoints_rewrite_byte_for_byte(self, tmp_path, run):
+        original = REPO / "runs" / run / "model.json"
+        save_model(load_model(original), tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == original.read_bytes()
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.json"
