@@ -33,6 +33,7 @@ from .network import (
     Model,
     ModelSpec,
     TrainConfig,
+    TrainFailure,
     TrainRecord,
     gradcheck,
     init_model,

@@ -44,6 +44,12 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _check_seed(setting: str, seed: int) -> None:
+    """Seeds feed ``numpy.random.default_rng``, which takes no negative value."""
+    if seed < 0:
+        raise ParseError(f"{setting} must be >= 0, got {seed}")
+
+
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     lines.extend(rows)
@@ -103,6 +109,7 @@ def cmd_gradcheck(args) -> int:
         activation=ActivationKind.TANH,
         paper_param_grad=args.paper_param_grad,
     )
+    _check_seed("--seed", args.seed)
     rng = numkit.make_rng(args.seed)
     model = init_model(spec, rng)
     sample = (rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 1))
@@ -161,6 +168,8 @@ def load_experiment(path):
     for key, default in defaults.items():
         if key in data:
             data_cfg[key] = read_setting("data", key, type(default), data[key])
+    if "seed" in data_cfg:
+        _check_seed("data.seed", data_cfg["seed"])
 
     if "output" not in doc or not isinstance(doc["output"], str):
         raise ParseError("config needs an 'output' string (directory path)")
@@ -239,7 +248,8 @@ def cmd_train(args) -> int:
         )
 
     if record.diverged:
-        print("training diverged; history written up to the failing epoch")
+        print(f"training diverged: {record.failure}")
+        print("history written up to the failing epoch")
         return 4
     final_loss, final_acc = evaluate(model, val_set.inputs, val_set.targets, cfg.loss)
     msg = f"finished {len(record.train_loss)} epochs, validation loss {final_loss:.6g}"
@@ -253,6 +263,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_dataset(args) -> int:
+    _check_seed("--seed", args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.name == "regression":

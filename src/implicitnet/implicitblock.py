@@ -26,12 +26,16 @@ Both directions solve the same kind of equation, ``z = c + alpha F(z)``:
 The caller picks the start point: ``forward`` starts from the linearized
 closed-form guess ``y0 = x + h (I - theta h J_F(x))^-1 F(x)`` (``y0 = x``
 if that matrix is singular), ``reconstruct_input`` from ``x0 = y - h F(y)``.
+At ``theta = 0`` there is nothing to solve: ``forward`` takes the explicit
+step ``y = x + h F(x)`` with a single evaluation of F.
 
 The backward pass is exact: one transposed linear solve against
 ``(I - h theta dF/dy)`` per layer, then dense chain-rule accumulation for
 the input, weight, and bias gradients. No differentiation through the
-nonlinear solver is ever needed. The initial guess and the backward solve
-both go through ``numkit.solve_many``, one system per batch column.
+nonlinear solver is ever needed. At ``theta = 0`` the solve and the whole
+F(y) route drop out, which is why an explicit block's tape holds no ``sy``.
+The initial guess and the backward solve both go through
+``numkit.solve_many``, one system per batch column.
 
 Internally every state is a batch: an ``(n, B)`` array with one state per
 column. The public functions also accept a single ``(n,)`` state, which
@@ -169,7 +173,8 @@ class TapeEntry:
     Holds the ``(n, B)`` states ``x`` and ``y``, the activation derivatives
     ``sx = act'(W x + b)`` and ``sy = act'(W y + b)`` of the same shape, and
     the effective weight ``w``. Column ``j``'s Jacobian ``dF/dx`` is
-    ``sx[:, j, None] * w``, and likewise for ``y``.
+    ``sx[:, j, None] * w``, and likewise for ``y``. ``forward`` leaves
+    ``sy`` as ``None`` at ``theta = 0``, where backward does not use it.
     """
 
     __slots__ = ("x", "y", "sx", "sy", "w")
@@ -224,12 +229,11 @@ def _shifted_identity(w: np.ndarray, s: np.ndarray, coeff: float) -> np.ndarray:
     return _eye(w.shape[0]) - coeff * (s.T[:, :, None] * w)
 
 
-def _solve_fixed_point(cfg, w, b, c, alpha, z, restart, what):
+def _solve_fixed_point(cfg, w, b, c, alpha, z, what):
     """Solve ``z = c + alpha F(z)`` for the ``(n, B)`` state ``z``.
 
-    The fixed-point sweeps start at ``z``. The residual descent goes on
-    from the last sweep iterate, or from ``restart`` if that iterate is
-    not finite. Returns ``(z, F(z))`` with
+    The fixed-point sweeps start at ``z``; the residual descent goes on
+    from the last sweep iterate. Returns ``(z, F(z))`` with
     ``max |z - c - alpha F(z)| <= cfg.solver_tol``, or raises
     ``SolverDivergedError`` carrying the final residual.
     """
@@ -253,8 +257,6 @@ def _solve_fixed_point(cfg, w, b, c, alpha, z, restart, what):
         z = z_next
 
     # Damped descent on 0.5 ||r(z)||^2, r(z) = z - c - alpha F(z).
-    if not np.all(np.isfinite(z)):
-        z = restart.copy()
     for _ in range(cfg.solver_max_iter):
         u = _affine(w, b, z)
         fz = act.apply(u)
@@ -264,8 +266,9 @@ def _solve_fixed_point(cfg, w, b, c, alpha, z, restart, what):
             return z, fz
         grad = r - alpha * (w.T @ (act.deriv(u) * r))
         gsq = float((grad * grad).sum())
-        if gsq == 0.0:
-            # A stationary point of the residual that is not a root: no step helps.
+        if not gsq > 0.0:
+            # A stationary point of the residual that is not a root, or a
+            # non-finite state: no step helps.
             break
         phi = 0.5 * float((r * r).sum())
         step = 1.0
@@ -305,17 +308,16 @@ def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarra
     sx = act.deriv_from_value(fx)
 
     if theta == 0.0:
-        # Same arithmetic as the explicit residual step x + h F(x).
+        # The explicit residual step x + h F(x); backward never reads F(y) here.
         y = xc + h * fx
-        fy = act.apply(_affine(w, b, y))
-    else:
-        h_theta = h * theta
-        try:
-            y0 = xc + numkit.solve_many(_shifted_identity(w, sx, h_theta), (h * fx).T).T
-        except SingularMatrixError:
-            y0 = xc.copy()
-        base = xc + (h * (1.0 - theta)) * fx
-        y, fy = _solve_fixed_point(cfg, w, b, base, h_theta, y0, xc, "block solver")
+        return _like(y, x), TapeEntry(xc, y, sx, None, w)
+    h_theta = h * theta
+    try:
+        y0 = xc + numkit.solve_many(_shifted_identity(w, sx, h_theta), (h * fx).T).T
+    except SingularMatrixError:
+        y0 = xc.copy()
+    base = xc + (h * (1.0 - theta)) * fx
+    y, fy = _solve_fixed_point(cfg, w, b, base, h_theta, y0, "block solver")
     return _like(y, x), TapeEntry(xc, y, sx, act.deriv_from_value(fy), w)
 
 
@@ -332,7 +334,8 @@ def backward(
     with ``theta = 0`` even that collapses to a pass-through. Weight and
     bias gradients take both routes through F (the x evaluation weighted by
     h(1-theta) and the y evaluation weighted by h theta) unless
-    ``cfg.paper_param_grad`` drops the y route.
+    ``cfg.paper_param_grad`` drops the y route; at ``theta = 0`` the y route
+    has weight zero, so it is skipped and the two formulas coincide.
     """
     g = _columns(params, grad_y)
     if g.shape != tape.y.shape:
@@ -352,11 +355,11 @@ def backward(
         wvec = numkit.solve_many(mats, g.T).T
 
     px = tape.sx * wvec
-    py = tape.sy * wvec
     grad_x = wvec + h_one_minus * (w.T @ px)
     grad_w = h_one_minus * (px @ tape.x.T)
     grad_b = h_one_minus * px.sum(axis=1)
-    if not cfg.paper_param_grad:
+    if theta > 0.0 and not cfg.paper_param_grad:
+        py = tape.sy * wvec
         grad_w = grad_w + h_theta * (py @ tape.y.T)
         grad_b = grad_b + h_theta * py.sum(axis=1)
 
@@ -398,7 +401,5 @@ def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.nd
     x = yc - h * fy
     if theta != 1.0:
         const = yc - (h * theta) * fy
-        x, _ = _solve_fixed_point(
-            cfg, w, b, const, -(h * (1.0 - theta)), x, x, "input reconstruction"
-        )
+        x, _ = _solve_fixed_point(cfg, w, b, const, -(h * (1.0 - theta)), x, "input reconstruction")
     return _like(x, y)

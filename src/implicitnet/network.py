@@ -29,6 +29,7 @@ from . import implicitblock as ib
 from . import numkit
 from .errors import (
     DimensionMismatchError,
+    ImplicitNetError,
     NonFiniteLossError,
     ParseError,
     SingularMatrixError,
@@ -132,16 +133,49 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+@dataclass
+class TrainFailure:
+    """The error that stopped training, and where it was raised.
+
+    ``epoch`` and ``batch`` count from 1; ``batch`` is ``None`` when the
+    validation pass failed.
+    """
+
+    epoch: int
+    batch: int | None
+    error: ImplicitNetError
+
+    def __str__(self) -> str:
+        where = [f"epoch {self.epoch}"]
+        where.append("validation" if self.batch is None else f"batch {self.batch}")
+        layer = getattr(self.error, "layer", None)
+        if layer is not None:
+            where.append(f"layer {layer}")
+        residual = getattr(self.error, "residual", None)
+        if residual is not None:
+            where.append(f"residual {residual:.3e}")
+        return f"{type(self.error).__name__} at {', '.join(where)}: {self.error}"
 
 
 @dataclass
 class TrainRecord:
-    """Per-epoch history; lengths equal the number of completed epochs."""
+    """Per-epoch history; lengths equal the number of completed epochs.
+
+    ``failure`` is set when training stopped early.
+    """
 
     train_loss: list[float]
     val_loss: list[float]
     val_accuracy: list[float] | None
-    diverged: bool
+    failure: TrainFailure | None = None
+
+    @property
+    def diverged(self) -> bool:
+        return self.failure is not None
 
 
 @dataclass
@@ -344,8 +378,8 @@ def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
 
     Batches are drawn by a seeded shuffle each epoch (the trailing short
     batch is kept). A non-finite loss or a failed block solve stops
-    training early with ``diverged=True``; the record then holds the
-    epochs completed before the failure.
+    training early; the record then holds the epochs completed before the
+    failure, and the failure itself.
     """
     rng = numkit.make_rng(cfg.seed)
     x_train = np.asarray(train_set.inputs, dtype=float)
@@ -356,32 +390,32 @@ def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
     train_hist: list[float] = []
     val_hist: list[float] = []
     acc_hist: list[float] = []
-    diverged = False
+    failure = None
 
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
         batch_losses = []
         try:
-            for start in range(0, n, cfg.batch_size):
+            for batch, start in enumerate(range(0, n, cfg.batch_size), start=1):
                 idx = perm[start : start + cfg.batch_size]
                 _, data, grads, _ = _loss_and_grad_arrays(
                     m, x_train[idx].T, t_train[idx].T, cfg.loss, cfg.reversible
                 )
                 _apply_update(m, grads, cfg.learning_rate)
                 batch_losses.append(data)
+            batch = None
             val_loss, val_acc = evaluate(m, val_set.inputs, val_set.targets, cfg.loss)
-        except (NonFiniteLossError, SolverDivergedError, SingularMatrixError):
-            diverged = True
-            break
-        if not np.isfinite(val_loss):
-            diverged = True
+            if not np.isfinite(val_loss):
+                raise NonFiniteLossError(f"validation loss is {val_loss}")
+        except (NonFiniteLossError, SolverDivergedError, SingularMatrixError) as exc:
+            failure = TrainFailure(epoch, batch, exc)
             break
         train_hist.append(float(np.mean(batch_losses)))
         val_hist.append(float(val_loss))
         if want_acc:
             acc_hist.append(float(val_acc))
 
-    return TrainRecord(train_hist, val_hist, acc_hist if want_acc else None, diverged)
+    return TrainRecord(train_hist, val_hist, acc_hist if want_acc else None, failure)
 
 
 def param_count(m: Model, blocks_only: bool = False) -> int:

@@ -210,10 +210,14 @@ class TestTrainCommand:
         assert (tmp_path / "r1/history.csv").read_bytes() == (tmp_path / "r2/history.csv").read_bytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-    def test_diverged_run_exits_4_with_history(self, tmp_path):
+    def test_diverged_run_exits_4_with_history(self, tmp_path, capsys):
         cfg = small_config(tmp_path, train={"learning_rate": 1e8, "epochs": 5})
         assert main(["train", str(cfg)]) == 4
-        assert (tmp_path / "run" / "history.csv").exists()
+        header, rows = read_csv_rows(tmp_path / "run" / "history.csv")
+        assert header == ["epoch", "train_loss", "val_loss"]
+        assert len(rows) == 1
+        out = capsys.readouterr().out
+        assert "training diverged: NonFiniteLossError at epoch 2, batch 2: loss is inf" in out
 
     def test_missing_config_exits_1(self, tmp_path):
         assert main(["train", str(tmp_path / "nope.json")]) == 1
@@ -251,6 +255,31 @@ class TestTrainCommand:
             load_experiment(cfg)
         assert main(["train", str(cfg)]) == 1
         assert not (tmp_path / "run").exists()
+
+
+# Each entry point that takes a seed: its argv with seed -1, and how the error names it.
+NEGATIVE_SEEDS = {
+    "train": (lambda tmp: ["train", str(small_config(tmp, train={"seed": -1}))], "section 'train': seed"),
+    "data": (
+        lambda tmp: ["train", str(small_config(tmp, data={"name": "regression", "seed": -1}))],
+        "data.seed",
+    ),
+    "dataset": (
+        lambda tmp: ["dataset", "--name", "regression", "--out", str(tmp / "d"), "--seed", "-1"],
+        "--seed",
+    ),
+    "gradcheck": (lambda tmp: ["gradcheck", "--seed", "-1"], "--seed"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEGATIVE_SEEDS))
+def test_negative_seed_exits_1_naming_the_setting(tmp_path, capsys, entry):
+    argv, name = NEGATIVE_SEEDS[entry]
+    assert main(argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{name} must be >= 0, got -1" in err
+    assert not (tmp_path / "run").exists()
 
 
 class TestExperimentConfigs:

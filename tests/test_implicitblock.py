@@ -125,6 +125,14 @@ class TestForward:
         assert np.array_equal(y, expected)
         assert tape.x is not y
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 5)])
+    def test_theta_zero_evaluates_f_once(self, f_evals, shape):
+        rng = numkit.make_rng(1)
+        cfg, p = random_block(rng, 4, theta=0.0)
+        _, tape = forward(cfg, p, rng.standard_normal(shape))
+        assert len(f_evals) == 1
+        assert tape.sy is None
+
     def test_scalar_fixed_point(self):
         cfg, p = scalar_block()
         y, _ = forward(cfg, p, np.array([1.0]))
@@ -217,6 +225,31 @@ class TestBackward:
         jx = cfg.activation.deriv(w @ x + p.b)[:, None] * w
         expected = (np.eye(3) + cfg.h * jx).T @ g
         np.testing.assert_allclose(gx, expected, atol=1e-14)
+
+    @pytest.mark.parametrize("mode", [WeightMode.RAW, WeightMode.SKEW_SYMMETRIC])
+    def test_theta_zero_parameter_gradients_bitwise(self, mode):
+        rng = numkit.make_rng(10)
+        cfg, p = random_block(rng, 3, mode=mode, theta=0.0, h=0.3)
+        x = rng.standard_normal((3, 4))
+        g = rng.standard_normal((3, 4))
+        _, tape = forward(cfg, p, x)
+        _, ga, gb = backward(cfg, p, tape, g)
+        px = tape.sx * g
+        gw = cfg.h * (px @ x.T)
+        expected_a = gw - gw.T if mode is WeightMode.SKEW_SYMMETRIC else gw
+        assert np.array_equal(ga, expected_a)
+        assert np.array_equal(gb, cfg.h * px.sum(axis=1))
+
+    @pytest.mark.parametrize("act", [ActivationKind.TANH, ActivationKind.RELU])
+    def test_reduced_formula_coincides_at_theta_zero(self, act):
+        rng = numkit.make_rng(12)
+        cfg, p = random_block(rng, 4, mode=WeightMode.SKEW_SYMMETRIC, act=act, theta=0.0)
+        reduced = ImplicitBlockConfig(theta=0.0, h=cfg.h, activation=act, paper_param_grad=True)
+        x = rng.standard_normal((4, 3))
+        g = rng.standard_normal((4, 3))
+        _, tape = forward(cfg, p, x)
+        for full, paper in zip(backward(cfg, p, tape, g), backward(reduced, p, tape, g)):
+            assert np.array_equal(full, paper)
 
     def test_scalar_analytic_values(self):
         cfg, p = scalar_block()
@@ -327,6 +360,18 @@ class TestReconstructInput:
         assert err.value.residual > cfg.solver_tol
         # The residual's gradient is zero, so the descent gives up at once.
         assert len(f_evals) <= 10
+
+
+@pytest.mark.parametrize("act", [ActivationKind.TANH, ActivationKind.RELU])
+@pytest.mark.parametrize("solve", [forward, reconstruct_input])
+def test_non_finite_state_fails_fast(f_evals, solve, act):
+    # A NaN state has no finite residual and a NaN gradient: neither the
+    # sweeps nor the descent can move, so the solver must give up at once.
+    rng = numkit.make_rng(14)
+    cfg, p = random_block(rng, 3, act=act, theta=0.5)
+    with pytest.raises(SolverDivergedError):
+        solve(cfg, p, np.array([np.nan, 0.2, -0.1]))
+    assert len(f_evals) <= 10
 
 
 class TestConfigValidation:

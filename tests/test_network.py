@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from implicitnet import numkit
 from implicitnet.datasets import LabeledSet, SetKind, make_regression
-from implicitnet.errors import DimensionMismatchError
+from implicitnet.errors import DimensionMismatchError, NonFiniteLossError, SolverDivergedError
 from implicitnet.implicitblock import ActivationKind, WeightMode
 from implicitnet.network import (
     Affine,
@@ -311,7 +311,41 @@ class TestTrain:
         data = tiny_dataset(5)
         rec = train(m, data, data, TrainConfig(1e6, 4, 10, seed=0))
         assert rec.diverged
-        assert len(rec.train_loss) < 10
+        # The first epoch's validation loss is already infinite, with or
+        # without the F(y) evaluation an explicit block does not need.
+        assert len(rec.train_loss) == 0
+        assert rec.failure.epoch == 1 and rec.failure.batch is None
+        assert isinstance(rec.failure.error, NonFiniteLossError)
+
+    def test_failure_names_epoch_batch_layer_and_residual(self, monkeypatch):
+        from implicitnet import implicitblock
+
+        # Three batches of two layers and one validation pass make eight
+        # block solves per epoch; the twelfth is epoch 2, batch 2, layer 1.
+        spec = ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=2, theta=0.5)
+        m = init_model(spec, 0)
+        solve = implicitblock.forward
+        calls = []
+
+        def failing_twelfth(cfg, params, x):
+            calls.append(1)
+            if len(calls) == 12:
+                raise SolverDivergedError("forced", residual=1.0)
+            return solve(cfg, params, x)
+
+        monkeypatch.setattr(implicitblock, "forward", failing_twelfth)
+        data = tiny_dataset()
+        rec = train(m, data, data, TrainConfig(0.01, 4, 3, seed=0))
+        assert len(rec.train_loss) == len(rec.val_loss) == 1
+        failure = rec.failure
+        assert (failure.epoch, failure.batch, failure.error.layer) == (2, 2, 1)
+        assert str(failure) == (
+            "SolverDivergedError at epoch 2, batch 2, layer 1, residual 1.000e+00: forced"
+        )
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=-1)
 
 
 class TestReversibleTraining:
