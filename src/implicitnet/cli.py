@@ -44,10 +44,15 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _require(setting: str, value, ok: bool, rule: str) -> None:
+    """Reject an out-of-range setting or flag with a one-line error naming it."""
+    if not ok:
+        raise ParseError(f"{setting} must be {rule}, got {value}")
+
+
 def _check_seed(setting: str, seed: int) -> None:
     """Seeds feed ``numpy.random.default_rng``, which takes no negative value."""
-    if seed < 0:
-        raise ParseError(f"{setting} must be >= 0, got {seed}")
+    _require(setting, seed, seed >= 0, ">= 0")
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -60,6 +65,8 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def cmd_stability(args) -> int:
+    _require("--omega", args.omega, args.omega > 0, "positive")
+    _require("--steps", args.steps, args.steps >= 1, ">= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.scheme == "all":
@@ -100,6 +107,11 @@ def cmd_stability(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _require("--width", args.width, args.width >= 1, ">= 1")
+    _require("--depth", args.depth, args.depth >= 0, ">= 0")
+    _require("--theta", args.theta, 0.0 <= args.theta <= 1.0, "in [0, 1]")
+    _require("--tol", args.tol, args.tol > 0, "positive")
+    _check_seed("--seed", args.seed)
     spec = ModelSpec(
         input_dim=2,
         hidden_dim=args.width,
@@ -109,7 +121,6 @@ def cmd_gradcheck(args) -> int:
         activation=ActivationKind.TANH,
         paper_param_grad=args.paper_param_grad,
     )
-    _check_seed("--seed", args.seed)
     rng = numkit.make_rng(args.seed)
     model = init_model(spec, rng)
     sample = (rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 1))
@@ -328,10 +339,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ImplicitNetError as exc:
+    except (OSError, ImplicitNetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,15 +17,19 @@ Both directions solve the same kind of equation, ``z = c + alpha F(z)``:
 ``_solve_fixed_point``, serves both:
 
 1. fixed-point sweeps ``z <- c + alpha F(z)``, which contract at rate
-   ``|alpha| L`` for L-Lipschitz F, until the residual stops shrinking;
-2. if they miss the tolerance, damped gradient descent on
-   ``0.5 ||z - c - alpha F(z)||^2`` with backtracking line search (Armijo
-   constant 1e-4, step halving, at most 40 halvings per step), which
-   gives up where the gradient is zero.
+   ``|alpha| L`` for L-Lipschitz F, until one shrinks the residual by less
+   than ``SWEEP_RATE``;
+2. if they miss the tolerance, damped Newton on
+   ``r(z) = z - c - alpha F(z)``: each step solves
+   ``(I - alpha diag(F'(z)) W) d = r`` for every column in one stacked
+   solve and backtracks on ``||r||^2`` (Armijo constant 1e-4, step
+   halving, at most 40 halvings per step). A singular Newton matrix or a
+   failed line search ends the solve with ``SolverDivergedError``.
 
-The caller picks the start point: ``forward`` starts from the linearized
-closed-form guess ``y0 = x + h (I - theta h J_F(x))^-1 F(x)`` (``y0 = x``
-if that matrix is singular), ``reconstruct_input`` from ``x0 = y - h F(y)``.
+The caller picks the start point: ``forward`` starts from one Newton step
+from ``y = x``, the linearized closed-form guess
+``y0 = x + h (I - theta h J_F(x))^-1 F(x)`` (``y0 = x`` if that matrix is
+singular), ``reconstruct_input`` from ``x0 = y - h F(y)``.
 At ``theta = 0`` there is nothing to solve: ``forward`` takes the explicit
 step ``y = x + h F(x)`` with a single evaluation of F.
 
@@ -34,8 +38,11 @@ The backward pass is exact: one transposed linear solve against
 the input, weight, and bias gradients. No differentiation through the
 nonlinear solver is ever needed. At ``theta = 0`` the solve and the whole
 F(y) route drop out, which is why an explicit block's tape holds no ``sy``.
-The initial guess and the backward solve both go through
-``numkit.solve_many``, one system per batch column.
+The Newton steps and the backward solve all go through
+``numkit.solve_many``, one system per batch column, and build their
+matrices with the same ``_shifted_identity``: the backward matrix
+``(I - h theta diag(sy) W)^T`` is the transposed Newton matrix at the
+solution.
 
 Internally every state is a batch: an ``(n, B)`` array with one state per
 column. The public functions also accept a single ``(n,)`` state, which
@@ -54,8 +61,16 @@ import numpy as np
 from . import numkit
 from .errors import DimensionMismatchError, SingularMatrixError, SolverDivergedError
 
+# Newton's backtracking line search: sufficient-decrease constant and the
+# most step halvings tried before a step counts as failed.
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 40
+# A sweep that shrinks the residual by less than this factor hands over to
+# Newton. ReLU columns whose activation pattern changes during the solve
+# contract at about 0.3 per sweep or slower, and Newton finishes them in a
+# step or two; tanh blocks contract at about 0.1-0.2, where a sweep costs a
+# fraction of a Newton step's stacked linear solve and sweeps stay cheaper.
+SWEEP_RATE = 0.3
 
 
 class ActivationKind(Enum):
@@ -226,14 +241,30 @@ def _eye(n: int) -> np.ndarray:
 
 def _shifted_identity(w: np.ndarray, s: np.ndarray, coeff: float) -> np.ndarray:
     """Stack of ``I - coeff * diag(s[:, j]) @ W`` over the columns ``j`` of ``s``."""
-    return _eye(w.shape[0]) - coeff * (s.T[:, :, None] * w)
+    # Built in place in one buffer: the broadcasting form allocates two more
+    # stacks of the same size.
+    m = np.empty((s.shape[1],) + w.shape)
+    m[...] = w
+    m *= s.T[:, :, None]
+    m *= coeff
+    return np.subtract(_eye(w.shape[0]), m, out=m)
+
+
+def _newton_step(w, s, alpha, r):
+    """Newton step for ``r(z) = z - c - alpha F(z)``, one system per column.
+
+    ``s = F'(z)`` columnwise; the step ``d`` solves
+    ``(I - alpha diag(s) W) d = r``, so ``z - d`` is the Newton iterate.
+    Raises ``SingularMatrixError`` where that matrix is singular.
+    """
+    return numkit.solve_many(_shifted_identity(w, s, alpha), r.T).T
 
 
 def _solve_fixed_point(cfg, w, b, c, alpha, z, what):
     """Solve ``z = c + alpha F(z)`` for the ``(n, B)`` state ``z``.
 
-    The fixed-point sweeps start at ``z``; the residual descent goes on
-    from the last sweep iterate. Returns ``(z, F(z))`` with
+    The fixed-point sweeps start at ``z``; damped Newton goes on from the
+    last sweep iterate. Returns ``(z, F(z))`` with
     ``max |z - c - alpha F(z)| <= cfg.solver_tol``, or raises
     ``SolverDivergedError`` carrying the final residual.
     """
@@ -242,8 +273,8 @@ def _solve_fixed_point(cfg, w, b, c, alpha, z, what):
 
     # Fixed-point sweeps. The update z_next = c + alpha F(z) makes
     # |z_next - z| exactly the residual norm of the current iterate. They
-    # stop once the residual does not shrink; that test is also false for
-    # an infinite or NaN residual.
+    # hand over to Newton once a sweep shrinks the residual by less than
+    # SWEEP_RATE; that test is also true for an infinite or NaN residual.
     prev = np.inf
     for _ in range(cfg.solver_max_iter + 1):
         fz = act.apply(_affine(w, b, z))
@@ -251,40 +282,39 @@ def _solve_fixed_point(cfg, w, b, c, alpha, z, what):
         res = float(np.abs(z_next - z).max())
         if res <= tol:
             return z, fz
-        if not res < prev:
+        if not res < SWEEP_RATE * prev:
             break
         prev = res
         z = z_next
+    else:
+        # Every sweep contracted fast but ran out of iterations: z moved
+        # past the last F evaluation.
+        fz = act.apply(_affine(w, b, z))
 
-    # Damped descent on 0.5 ||r(z)||^2, r(z) = z - c - alpha F(z).
+    # Damped Newton on r(z) = z - c - alpha F(z), backtracking (Armijo) on
+    # ||r||^2, whose slope along the Newton step is -2 ||r||^2.
+    r = z - c - alpha * fz
+    res = float(np.abs(r).max())
     for _ in range(cfg.solver_max_iter):
-        u = _affine(w, b, z)
-        fz = act.apply(u)
-        r = z - c - alpha * fz
-        res = float(np.abs(r).max())
         if res <= tol:
             return z, fz
-        grad = r - alpha * (w.T @ (act.deriv(u) * r))
-        gsq = float((grad * grad).sum())
-        if not gsq > 0.0:
-            # A stationary point of the residual that is not a root, or a
-            # non-finite state: no step helps.
+        try:
+            d = _newton_step(w, act.deriv_from_value(fz), alpha, r)
+        except SingularMatrixError:
             break
-        phi = 0.5 * float((r * r).sum())
+        phi = float((r * r).sum())
         step = 1.0
-        accepted = False
         for _ in range(MAX_HALVINGS):
-            z_try = z - step * grad
-            r_try = z_try - c - alpha * act.apply(_affine(w, b, z_try))
-            if 0.5 * float((r_try * r_try).sum()) <= phi - ARMIJO_C * step * gsq:
-                z = z_try
-                accepted = True
+            z_try = z - step * d
+            f_try = act.apply(_affine(w, b, z_try))
+            r_try = z_try - c - alpha * f_try
+            if float((r_try * r_try).sum()) <= (1.0 - 2.0 * ARMIJO_C * step) * phi:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
-    fz = act.apply(_affine(w, b, z))
-    res = float(np.abs(z - c - alpha * fz).max())
+        z, fz, r = z_try, f_try, r_try
+        res = float(np.abs(r).max())
     if res <= tol:
         return z, fz
     raise SolverDivergedError(
@@ -313,7 +343,8 @@ def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarra
         return _like(y, x), TapeEntry(xc, y, sx, None, w)
     h_theta = h * theta
     try:
-        y0 = xc + numkit.solve_many(_shifted_identity(w, sx, h_theta), (h * fx).T).T
+        # One Newton step from y = x, where the residual is -h F(x).
+        y0 = xc - _newton_step(w, sx, h_theta, -h * fx)
     except SingularMatrixError:
         y0 = xc.copy()
     base = xc + (h * (1.0 - theta)) * fx

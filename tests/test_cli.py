@@ -282,6 +282,29 @@ def test_negative_seed_exits_1_naming_the_setting(tmp_path, capsys, entry):
     assert not (tmp_path / "run").exists()
 
 
+# Out-of-range flags: the argv after the subcommand and the error's tail.
+BAD_FLAGS = {
+    "gradcheck --depth": (["gradcheck", "--depth", "-1"], "--depth must be >= 0, got -1"),
+    "gradcheck --theta": (["gradcheck", "--theta", "2"], "--theta must be in [0, 1], got 2.0"),
+    "gradcheck --width": (["gradcheck", "--width", "0"], "--width must be >= 1, got 0"),
+    "gradcheck --tol": (["gradcheck", "--tol", "-1"], "--tol must be positive, got -1.0"),
+    "stability --steps": (["stability", "--steps", "-5"], "--steps must be >= 1, got -5"),
+    "stability --omega": (["stability", "--omega", "0"], "--omega must be positive, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(BAD_FLAGS))
+def test_out_of_range_flag_exits_1_naming_it(tmp_path, capsys, flag):
+    argv, message = BAD_FLAGS[flag]
+    if argv[0] == "stability":
+        argv = argv + ["--out", str(tmp_path / "lab")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "lab").exists()
+
+
 class TestExperimentConfigs:
     def test_load_experiment_rejects_unknown_top_level(self, tmp_path):
         path = tmp_path / "c.json"

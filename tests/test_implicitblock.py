@@ -10,6 +10,7 @@ from implicitnet.errors import (
     SolverDivergedError,
 )
 from implicitnet.implicitblock import (
+    SWEEP_RATE,
     ActivationKind,
     BlockParams,
     ImplicitBlockConfig,
@@ -182,9 +183,32 @@ class TestForward:
         cfg, p = scalar_block(w=2.0)
         with pytest.raises(SolverDivergedError):
             forward(cfg, p, np.array([1.0]))
-        # Neither the sweeps nor the descent may spin through solver_max_iter
-        # once they stop making progress.
+        # Neither the sweeps nor Newton may spin through solver_max_iter once
+        # they stop making progress; the Newton matrix 1 - h theta W is
+        # singular here, so Newton gives up at once.
         assert len(f_evals) <= 10
+
+    def test_newton_finishes_slow_relu_sweeps(self, f_evals):
+        # theta = 0.5, ReLU, skew weights and a large step: the activation
+        # pattern changes between x and y, so the linearized guess misses
+        # and the sweeps contract at only 0.43-0.59 per sweep (checked
+        # below). Sweeping from that guess to the tolerance takes 29 F
+        # evaluations here.
+        rng = numkit.make_rng(1)
+        p = BlockParams(rng.standard_normal((4, 4)), rng.uniform(-0.5, 0.5, 4), WeightMode.SKEW_SYMMETRIC)
+        h = 2.4 / np.abs(p.effective_weight()).sum(axis=1).max()
+        cfg = ImplicitBlockConfig(theta=0.5, h=h, activation=ActivationKind.RELU)
+        x = rng.standard_normal((4, 8))
+        y, _ = forward(cfg, p, x)
+        assert len(f_evals) <= 10
+        base = x + 0.5 * h * block_fn(p, cfg.activation, x)
+        assert np.abs(y - base - 0.5 * h * block_fn(p, cfg.activation, y)).max() <= cfg.solver_tol
+        z, diffs = x, []
+        for _ in range(8):
+            z_next = base + 0.5 * h * block_fn(p, cfg.activation, z)
+            diffs.append(np.abs(z_next - z).max())
+            z = z_next
+        assert min(d1 / d0 for d0, d1 in zip(diffs, diffs[1:])) > SWEEP_RATE
 
     def test_fixed_point_contraction_rate(self):
         rng = numkit.make_rng(6)
@@ -341,8 +365,8 @@ class TestReconstructInput:
 
     def test_descent_converges_when_sweeps_oscillate(self, f_evals):
         # Identity activation with h (1 - theta) W = 1: the inverse sweep
-        # x <- c - (W x + b) / 2 flips between two points forever, and the
-        # residual descent must find the unique solution x = -b / 2.
+        # x <- c - (W x + b) / 2 flips between two points forever, and
+        # Newton must find the unique solution x = -b / 2.
         cfg, p = scalar_block(w=2.0)
         p.b[:] = 1.0
         x = reconstruct_input(cfg, p, np.array([3.0]))
@@ -358,20 +382,40 @@ class TestReconstructInput:
             reconstruct_input(cfg, p, np.array([1.0]))
         assert err.value.residual == pytest.approx(2.0)
         assert err.value.residual > cfg.solver_tol
-        # The residual's gradient is zero, so the descent gives up at once.
+        # The Newton matrix 1 + h (1 - theta) W is zero, so Newton gives up
+        # at once.
         assert len(f_evals) <= 10
 
 
 @pytest.mark.parametrize("act", [ActivationKind.TANH, ActivationKind.RELU])
 @pytest.mark.parametrize("solve", [forward, reconstruct_input])
 def test_non_finite_state_fails_fast(f_evals, solve, act):
-    # A NaN state has no finite residual and a NaN gradient: neither the
-    # sweeps nor the descent can move, so the solver must give up at once.
+    # A NaN state has no finite residual and no finite Newton step: neither
+    # the sweeps nor Newton can move, so the solver must give up at once.
     rng = numkit.make_rng(14)
     cfg, p = random_block(rng, 3, act=act, theta=0.5)
     with pytest.raises(SolverDivergedError):
         solve(cfg, p, np.array([np.nan, 0.2, -0.1]))
     assert len(f_evals) <= 10
+
+
+@pytest.mark.parametrize("solve", [forward, reconstruct_input])
+def test_newton_starts_from_fresh_f_when_sweeps_run_out(f_evals, solve):
+    # With solver_max_iter = 1 both sweeps contract fast, miss the
+    # tolerance and leave the iterate one step past the last F evaluation.
+    # Newton must evaluate F there again: the stale value makes its residual
+    # read zero and hands back the unconverged sweep iterate.
+    rng = numkit.make_rng(1)
+    cfg, p = random_block(rng, 4, theta=0.5, h=0.2)
+    cfg.solver_max_iter = 1
+    v = rng.standard_normal((4, 2))
+    out = solve(cfg, p, v)
+    evals = len(f_evals)
+    x, y = (v, out[0]) if solve is forward else (out, v)
+    r = y - x - 0.5 * cfg.h * (block_fn(p, cfg.activation, x) + block_fn(p, cfg.activation, y))
+    assert np.abs(r).max() <= cfg.solver_tol
+    # F at the input, two sweeps, F at the last sweep iterate, one Newton step.
+    assert evals == 5
 
 
 class TestConfigValidation:
