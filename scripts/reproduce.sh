@@ -1,6 +1,11 @@
 #!/usr/bin/env sh
 # Regenerate every bundled artifact: stability-lab CSVs/plots, datasets,
 # and the four experiment runs. Takes a few minutes end to end.
+#
+# Usage: scripts/reproduce.sh [OUT]   (OUT defaults to runs)
+# OUT moves only the stability and dataset outputs. The four train calls
+# always write to each config's "output", runs/ex*, so even with another
+# OUT this script overwrites the committed runs.
 set -e
 
 OUT=${1:-runs}

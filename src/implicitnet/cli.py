@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,6 +66,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def cmd_stability(args) -> int:
+    for flag in ("omega", "h", "y0", "z0"):
+        value = getattr(args, flag)
+        _require(f"--{flag}", value, math.isfinite(value), "finite")
     _require("--omega", args.omega, args.omega > 0, "positive")
     _require("--steps", args.steps, args.steps >= 1, ">= 1")
     out = Path(args.out)
@@ -110,6 +114,7 @@ def cmd_gradcheck(args) -> int:
     _require("--width", args.width, args.width >= 1, ">= 1")
     _require("--depth", args.depth, args.depth >= 0, ">= 0")
     _require("--theta", args.theta, 0.0 <= args.theta <= 1.0, "in [0, 1]")
+    _require("--tol", args.tol, math.isfinite(args.tol), "finite")
     _require("--tol", args.tol, args.tol > 0, "positive")
     _check_seed("--seed", args.seed)
     spec = ModelSpec(
@@ -214,7 +219,7 @@ def _write_predictions(path: Path, model, val_set) -> None:
 
     if val_set.kind is datasets.SetKind.REGRESSION:
         xs = val_set.inputs
-        out, _, _, _ = _forward_arrays(model, xs.T, keep_tapes=False)
+        out, _, _ = _forward_arrays(model, xs.T, keep_tapes=False)
         rows = [
             f"{_fmt(xs[i, 0])},{_fmt(out[0, i])},{_fmt(val_set.targets[i, 0])}"
             for i in range(len(xs))
@@ -224,7 +229,7 @@ def _write_predictions(path: Path, model, val_set) -> None:
     axis = np.linspace(-CLASSIFICATION_EXTENT, CLASSIFICATION_EXTENT, CLASSIFICATION_GRID)
     xx, yy = np.meshgrid(axis, axis)
     grid = np.stack([xx.ravel(), yy.ravel()])
-    out, _, _, _ = _forward_arrays(model, grid, keep_tapes=False)
+    out, _, _ = _forward_arrays(model, grid, keep_tapes=False)
     rows = [
         f"{_fmt(grid[0, i])},{_fmt(grid[1, i])},{_fmt(out[0, i])}"
         for i in range(grid.shape[1])

@@ -61,6 +61,10 @@ import numpy as np
 from . import numkit
 from .errors import DimensionMismatchError, SingularMatrixError, SolverDivergedError
 
+# A block solve succeeds once the max-norm residual of its equation is at
+# most SOLVER_TOL; the sweeps and Newton get SOLVER_MAX_ITER iterations each.
+SOLVER_TOL = 1e-10
+SOLVER_MAX_ITER = 100
 # Newton's backtracking line search: sufficient-decrease constant and the
 # most step halvings tried before a step counts as failed.
 ARMIJO_C = 1e-4
@@ -88,20 +92,12 @@ class ActivationKind(Enum):
             return np.tanh(u)
         return _sigmoid(u)
 
-    def deriv(self, u: np.ndarray) -> np.ndarray:
-        if self is ActivationKind.IDENTITY:
-            return np.ones_like(u)
-        if self is ActivationKind.RELU:
-            return (u > 0.0).astype(float)
-        if self is ActivationKind.TANH:
-            t = np.tanh(u)
-            return 1.0 - t * t
-        s = _sigmoid(u)
-        return s * (1.0 - s)
-
     def deriv_from_value(self, value: np.ndarray) -> np.ndarray:
-        """Derivative from the activation value itself; bitwise identical
-        to ``deriv(u)`` for ``value = apply(u)``, but skips the transcendental."""
+        """The derivative ``act'(u)`` at ``u``, computed from ``value = apply(u)``.
+
+        Every derivative in the package is taken this way, from a value
+        already evaluated, so no transcendental is computed twice.
+        """
         if self is ActivationKind.IDENTITY:
             return np.ones_like(value)
         if self is ActivationKind.RELU:
@@ -154,21 +150,21 @@ class BlockParams:
         return self.a
 
 
-@dataclass
+@dataclass(slots=True)
 class ImplicitBlockConfig:
-    """Block hyperparameters and solver settings.
+    """Block hyperparameters.
 
     ``paper_param_grad`` switches the weight/bias gradient to the reduced
     published formula that drops the F(y) route; it exists only so the
     gradient checker can demonstrate the discrepancy and must stay off for
-    training.
+    training. The solver's tolerance and iteration cap are the module
+    constants ``SOLVER_TOL`` and ``SOLVER_MAX_ITER``; ``solver_tol`` reads
+    the first and cannot be set.
     """
 
     theta: float
     h: float
     activation: ActivationKind
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 100
     paper_param_grad: bool = field(default=False)
 
     def __post_init__(self):
@@ -176,10 +172,10 @@ class ImplicitBlockConfig:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h}")
-        if not self.solver_tol > 0:
-            raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
-        if self.solver_max_iter < 1:
-            raise ValueError(f"solver_max_iter must be >= 1, got {self.solver_max_iter}")
+
+    @property
+    def solver_tol(self) -> float:
+        return SOLVER_TOL
 
 
 class TapeEntry:
@@ -260,27 +256,24 @@ def _newton_step(w, s, alpha, r):
     return numkit.solve_many(_shifted_identity(w, s, alpha), r.T).T
 
 
-def _solve_fixed_point(cfg, w, b, c, alpha, z, what):
+def _solve_fixed_point(act, w, b, c, alpha, z, what):
     """Solve ``z = c + alpha F(z)`` for the ``(n, B)`` state ``z``.
 
     The fixed-point sweeps start at ``z``; damped Newton goes on from the
     last sweep iterate. Returns ``(z, F(z))`` with
-    ``max |z - c - alpha F(z)| <= cfg.solver_tol``, or raises
+    ``max |z - c - alpha F(z)| <= SOLVER_TOL``, or raises
     ``SolverDivergedError`` carrying the final residual.
     """
-    act = cfg.activation
-    tol = cfg.solver_tol
-
     # Fixed-point sweeps. The update z_next = c + alpha F(z) makes
     # |z_next - z| exactly the residual norm of the current iterate. They
     # hand over to Newton once a sweep shrinks the residual by less than
     # SWEEP_RATE; that test is also true for an infinite or NaN residual.
     prev = np.inf
-    for _ in range(cfg.solver_max_iter + 1):
+    for _ in range(SOLVER_MAX_ITER + 1):
         fz = act.apply(_affine(w, b, z))
         z_next = c + alpha * fz
         res = float(np.abs(z_next - z).max())
-        if res <= tol:
+        if res <= SOLVER_TOL:
             return z, fz
         if not res < SWEEP_RATE * prev:
             break
@@ -295,8 +288,8 @@ def _solve_fixed_point(cfg, w, b, c, alpha, z, what):
     # ||r||^2, whose slope along the Newton step is -2 ||r||^2.
     r = z - c - alpha * fz
     res = float(np.abs(r).max())
-    for _ in range(cfg.solver_max_iter):
-        if res <= tol:
+    for _ in range(SOLVER_MAX_ITER):
+        if res <= SOLVER_TOL:
             return z, fz
         try:
             d = _newton_step(w, act.deriv_from_value(fz), alpha, r)
@@ -315,10 +308,10 @@ def _solve_fixed_point(cfg, w, b, c, alpha, z, what):
             break
         z, fz, r = z_try, f_try, r_try
         res = float(np.abs(r).max())
-    if res <= tol:
+    if res <= SOLVER_TOL:
         return z, fz
     raise SolverDivergedError(
-        f"{what} stalled at residual {res:.3e} (tol {tol:.1e})", residual=res
+        f"{what} stalled at residual {res:.3e} (tol {SOLVER_TOL:.1e})", residual=res
     )
 
 
@@ -326,7 +319,7 @@ def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarra
     """Solve the block equation for ``y`` and cache what backward needs.
 
     The returned ``y`` satisfies
-    ``max |y - x - h(1-theta)F(x) - h theta F(y)| <= cfg.solver_tol``.
+    ``max |y - x - h(1-theta)F(x) - h theta F(y)| <= SOLVER_TOL``.
     """
     xc = _columns(params, x)
     w = params.effective_weight()
@@ -348,7 +341,7 @@ def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarra
     except SingularMatrixError:
         y0 = xc.copy()
     base = xc + (h * (1.0 - theta)) * fx
-    y, fy = _solve_fixed_point(cfg, w, b, base, h_theta, y0, "block solver")
+    y, fy = _solve_fixed_point(act, w, b, base, h_theta, y0, "block solver")
     return _like(y, x), TapeEntry(xc, y, sx, act.deriv_from_value(fy), w)
 
 
@@ -407,8 +400,8 @@ def make_tape(cfg: ImplicitBlockConfig, params: BlockParams, x, y) -> TapeEntry:
     y = _columns(params, y)
     w = params.effective_weight()
     act = cfg.activation
-    sx = act.deriv(_affine(w, params.b, x))
-    sy = act.deriv(_affine(w, params.b, y))
+    sx = act.deriv_from_value(act.apply(_affine(w, params.b, x)))
+    sy = act.deriv_from_value(act.apply(_affine(w, params.b, y)))
     return TapeEntry(x, y, sx, sy, w)
 
 
@@ -416,11 +409,12 @@ def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.nd
     """Invert the block: recover ``x`` from ``y`` without any stored tape.
 
     Solves ``x = y - h theta F(y) - h(1-theta)F(x)`` with the block's
-    solver, started from ``x0 = y - h F(y)``; for ``theta = 1`` the inverse
-    is explicit and returned after a single evaluation. The fixed-point
-    sweeps converge when ``h (1-theta) Lip(F) < 1``, which the
-    time-symmetric ``theta = 0.5`` blocks used for reversible training
-    satisfy by construction whenever their own forward iteration does.
+    solver, started from ``x0 = y - h F(y)``. At ``theta = 1`` that start
+    point is the explicit inverse, bitwise equal to the solver's constant
+    term, so the first sweep returns it. The fixed-point sweeps converge
+    when ``h (1-theta) Lip(F) < 1``, which the time-symmetric
+    ``theta = 0.5`` blocks used for reversible training satisfy by
+    construction whenever their own forward iteration does.
     """
     yc = _columns(params, y)
     w = params.effective_weight()
@@ -429,8 +423,7 @@ def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.nd
     theta, h = cfg.theta, cfg.h
 
     fy = act.apply(_affine(w, b, yc))
-    x = yc - h * fy
-    if theta != 1.0:
-        const = yc - (h * theta) * fy
-        x, _ = _solve_fixed_point(cfg, w, b, const, -(h * (1.0 - theta)), x, "input reconstruction")
+    const = yc - (h * theta) * fy
+    x0 = yc - h * fy
+    x, _ = _solve_fixed_point(act, w, b, const, -(h * (1.0 - theta)), x0, "input reconstruction")
     return _like(x, y)

@@ -19,6 +19,7 @@ block-parameter counts.
 # Annotations are not postponed here: ``read_settings`` takes each field's
 # type from ``dataclasses.fields``, which must be the class, not a string.
 import json
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -129,6 +130,8 @@ class TrainConfig:
     reversible: bool = False
 
     def __post_init__(self):
+        if not self.learning_rate >= 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -215,7 +218,7 @@ def init_model(spec: ModelSpec, seed) -> Model:
 def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
     """Run the whole stack on an ``(input_dim, B)`` batch.
 
-    Returns ``(out, proj_preact, last_hidden, tapes)``, all with B columns.
+    Returns ``(out, last_hidden, tapes)``, all with B columns.
     """
     hid = m.lift.apply(x)
     tapes: list[ib.TapeEntry] = []
@@ -229,9 +232,8 @@ def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
                 raise
             if keep_tapes:
                 tapes.append(tape)
-    o = m.proj.apply(hid)
-    out = m.spec.output_activation.apply(o)
-    return out, o, hid, tapes
+    out = m.spec.output_activation.apply(m.proj.apply(hid))
+    return out, hid, tapes
 
 
 def model_forward(m: Model, x) -> tuple[np.ndarray, list[ib.TapeEntry]]:
@@ -241,7 +243,7 @@ def model_forward(m: Model, x) -> tuple[np.ndarray, list[ib.TapeEntry]]:
         raise DimensionMismatchError(
             f"input shape {x.shape} does not match input_dim {m.spec.input_dim}"
         )
-    out, _, _, tapes = _forward_arrays(m, x[:, None] if x.ndim == 1 else x)
+    out, _, tapes = _forward_arrays(m, x[:, None] if x.ndim == 1 else x)
     return out.reshape((m.spec.output_dim,) + x.shape[1:]), tapes
 
 
@@ -296,7 +298,7 @@ def _loss_and_grad_arrays(
     by inverting each block, so peak storage stays at one layer.
     """
     reversible = reversible and m.spec.theta > 0.0 and bool(m.blocks)
-    out, o, hid, tapes = _forward_arrays(m, x, keep_tapes=not reversible)
+    out, hid, tapes = _forward_arrays(m, x, keep_tapes=not reversible)
 
     data = _data_loss(kind, out, targets)
     reg_value, reg_grads = regularizer(m)
@@ -305,7 +307,7 @@ def _loss_and_grad_arrays(
         raise NonFiniteLossError(f"loss is {total}")
 
     d_out = _data_loss_grad(kind, out, targets)
-    d_o = m.spec.output_activation.deriv(o) * d_out
+    d_o = m.spec.output_activation.deriv_from_value(out) * d_out
     proj_w = d_o @ hid.T
     proj_b = d_o.sum(axis=1)
     d_hid = m.proj.w.T @ d_o
@@ -364,7 +366,7 @@ def evaluate(m: Model, inputs: np.ndarray, targets: np.ndarray, kind: LossKind):
     """Mean data loss over a whole set; accuracy too for binary targets."""
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    out, _, _, _ = _forward_arrays(m, inputs.T, keep_tapes=False)
+    out, _, _ = _forward_arrays(m, inputs.T, keep_tapes=False)
     loss = _data_loss(kind, out, targets.T)
     accuracy = None
     if kind is LossKind.BINARY_CROSS_ENTROPY:
@@ -441,7 +443,7 @@ class GradCheckReport:
 
 
 def _loss_only(m: Model, x: np.ndarray, targets: np.ndarray, kind: LossKind) -> float:
-    out, _, _, _ = _forward_arrays(m, x, keep_tapes=False)
+    out, _, _ = _forward_arrays(m, x, keep_tapes=False)
     value, _ = regularizer(m)
     return _data_loss(kind, out, targets) + value
 
@@ -506,15 +508,19 @@ def gradcheck(
 def read_setting(section: str, key: str, kind: type, value):
     """Return ``value`` as a ``kind``; ``ParseError`` unless it has that kind's JSON type.
 
-    A bool takes a JSON boolean, an int an integer, a float any number and
-    an enum one of its value names.
+    A bool takes a JSON boolean, an int an integer, a float any finite
+    number (Python's ``json`` also reads ``NaN`` and ``Infinity``) and an
+    enum one of its value names.
     """
     if kind is bool:
         ok, want = isinstance(value, bool), "a boolean"
     elif kind is int:
         ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif kind is float:
-        ok, want = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        # The bound also rejects NaN, and integers too large for a float.
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max
+        want = "a finite number"
     else:
         names = [member.value for member in kind]
         ok, want = isinstance(value, str) and value in names, f"one of {names}"
@@ -568,15 +574,54 @@ def save_model(m: Model, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
+def _read_array(section, key: str, where: str, shape: tuple) -> np.ndarray:
+    """``section[key]`` as a float array of ``shape``; ``ParseError`` naming ``where`` otherwise."""
+    if not isinstance(section, dict) or key not in section:
+        raise ParseError(f"checkpoint lacks {where}")
+    try:
+        arr = np.array(section[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"checkpoint {where} is not an array of numbers") from None
+    if arr.shape != shape:
+        raise ParseError(f"checkpoint {where} has shape {arr.shape}, its spec needs {shape}")
+    return arr
+
+
 def load_model(path) -> Model:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT or doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"not a {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION} file: {path}")
-    spec = read_settings(ModelSpec, "spec", doc["spec"])
-    lift = Affine(np.array(doc["lift"]["w"], dtype=float), np.array(doc["lift"]["b"], dtype=float))
-    blocks = [
-        BlockParams(np.array(b["a"], dtype=float), np.array(b["b"], dtype=float), spec.weight_mode)
-        for b in doc["blocks"]
-    ]
-    proj = Affine(np.array(doc["proj"]["w"], dtype=float), np.array(doc["proj"]["b"], dtype=float))
-    return Model(lift, blocks, proj, spec)
+    """Read a checkpoint written by ``save_model``.
+
+    Raises ``ParseError`` naming the field when the file is not a version-1
+    checkpoint, a field is missing, or an array disagrees with ``spec``.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT \
+            or doc.get("version") != CHECKPOINT_VERSION:
+        raise ParseError(f"not a {CHECKPOINT_FORMAT} v{CHECKPOINT_VERSION} file: {path}")
+    spec = read_settings(ModelSpec, "spec", doc.get("spec"))
+    n, n_in, n_out = spec.hidden_dim, spec.input_dim, spec.output_dim
+    blocks = doc.get("blocks")
+    if not isinstance(blocks, list) or len(blocks) != spec.depth:
+        raise ParseError(f"checkpoint blocks must be a list of spec.depth = {spec.depth} blocks")
+    lift, proj = doc.get("lift"), doc.get("proj")
+    return Model(
+        Affine(
+            _read_array(lift, "w", "lift.w", (n, n_in)),
+            _read_array(lift, "b", "lift.b", (n,)),
+        ),
+        [
+            BlockParams(
+                _read_array(blk, "a", f"blocks[{i}].a", (n, n)),
+                _read_array(blk, "b", f"blocks[{i}].b", (n,)),
+                spec.weight_mode,
+            )
+            for i, blk in enumerate(blocks)
+        ],
+        Affine(
+            _read_array(proj, "w", "proj.w", (n_out, n)),
+            _read_array(proj, "b", "proj.b", (n_out,)),
+        ),
+        spec,
+    )

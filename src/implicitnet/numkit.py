@@ -14,11 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
-# Seeded generator type used throughout the package.
-Rng = np.random.Generator
 
-
-def make_rng(seed: int) -> Rng:
+def make_rng(seed: int) -> np.random.Generator:
     """Return a PCG64 generator seeded with ``seed``."""
     return np.random.default_rng(seed)
 
@@ -73,7 +70,7 @@ def skew_symmetrize(a) -> np.ndarray:
     return a - a.T
 
 
-def glorot_uniform(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Matrix of shape ``(fan_out, fan_in)`` with entries uniform on [-s, s].
 
     The half-width is ``s = sqrt(6 / (fan_in + fan_out))``.

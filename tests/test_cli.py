@@ -257,6 +257,32 @@ class TestTrainCommand:
         assert not (tmp_path / "run").exists()
 
 
+# Numbers of the right JSON type but out of range (Python's json reads NaN
+# and Infinity): the config override and the error it must print.
+BAD_SETTINGS = {
+    "horizon Infinity": ({"model": {"horizon": math.inf}}, "model.horizon must be a finite number, got inf"),
+    "reg_coeff NaN": ({"model": {"reg_coeff": math.nan}}, "model.reg_coeff must be a finite number, got nan"),
+    "learning_rate NaN": (
+        {"train": {"learning_rate": math.nan}},
+        "train.learning_rate must be a finite number, got nan",
+    ),
+    "learning_rate -0.5": (
+        {"train": {"learning_rate": -0.5}},
+        "bad value in section 'train': learning_rate must be >= 0, got -0.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(BAD_SETTINGS))
+def test_out_of_range_setting_exits_1_naming_it(tmp_path, capsys, setting):
+    override, message = BAD_SETTINGS[setting]
+    assert main(["train", str(small_config(tmp_path, **override))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "run").exists()
+
+
 # Each entry point that takes a seed: its argv with seed -1, and how the error names it.
 NEGATIVE_SEEDS = {
     "train": (lambda tmp: ["train", str(small_config(tmp, train={"seed": -1}))], "section 'train': seed"),
@@ -290,6 +316,11 @@ BAD_FLAGS = {
     "gradcheck --tol": (["gradcheck", "--tol", "-1"], "--tol must be positive, got -1.0"),
     "stability --steps": (["stability", "--steps", "-5"], "--steps must be >= 1, got -5"),
     "stability --omega": (["stability", "--omega", "0"], "--omega must be positive, got 0.0"),
+    "gradcheck --tol inf": (["gradcheck", "--tol", "inf"], "--tol must be finite, got inf"),
+    "stability --omega inf": (["stability", "--omega", "inf"], "--omega must be finite, got inf"),
+    "stability --h nan": (["stability", "--h", "nan"], "--h must be finite, got nan"),
+    "stability --y0 nan": (["stability", "--y0", "nan"], "--y0 must be finite, got nan"),
+    "stability --z0 nan": (["stability", "--z0", "nan"], "--z0 must be finite, got nan"),
 }
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implicitnet import numkit
+from implicitnet import implicitblock, numkit
 from implicitnet.errors import (
     DimensionMismatchError,
     SingularMatrixError,
@@ -183,7 +183,7 @@ class TestForward:
         cfg, p = scalar_block(w=2.0)
         with pytest.raises(SolverDivergedError):
             forward(cfg, p, np.array([1.0]))
-        # Neither the sweeps nor Newton may spin through solver_max_iter once
+        # Neither the sweeps nor Newton may spin through SOLVER_MAX_ITER once
         # they stop making progress; the Newton matrix 1 - h theta W is
         # singular here, so Newton gives up at once.
         assert len(f_evals) <= 10
@@ -246,7 +246,8 @@ class TestBackward:
         g = rng.standard_normal(3)
         gx, _, _ = backward(cfg, p, tape, g)
         w = p.effective_weight()
-        jx = cfg.activation.deriv(w @ x + p.b)[:, None] * w
+        act = cfg.activation
+        jx = act.deriv_from_value(act.apply(w @ x + p.b))[:, None] * w
         expected = (np.eye(3) + cfg.h * jx).T @ g
         np.testing.assert_allclose(gx, expected, atol=1e-14)
 
@@ -344,11 +345,13 @@ class TestReconstructInput:
         x = reconstruct_input(cfg, p, np.array([5.0 / 3.0]))
         assert x[0] == pytest.approx(1.0, abs=1e-9)
 
-    def test_theta_one_is_explicit_inverse(self):
+    def test_theta_one_is_explicit_inverse(self, f_evals):
         rng = numkit.make_rng(13)
         cfg, p = random_block(rng, 3, theta=1.0, h=0.3)
         y = rng.standard_normal(3)
         x = reconstruct_input(cfg, p, y)
+        # F at y, then one sweep, which finds the start point already solved.
+        assert len(f_evals) <= 2
         expected = y - cfg.h * block_fn(p, cfg.activation, y)
         np.testing.assert_array_equal(x, expected)
 
@@ -400,14 +403,14 @@ def test_non_finite_state_fails_fast(f_evals, solve, act):
 
 
 @pytest.mark.parametrize("solve", [forward, reconstruct_input])
-def test_newton_starts_from_fresh_f_when_sweeps_run_out(f_evals, solve):
-    # With solver_max_iter = 1 both sweeps contract fast, miss the
+def test_newton_starts_from_fresh_f_when_sweeps_run_out(monkeypatch, f_evals, solve):
+    # With SOLVER_MAX_ITER = 1 both sweeps contract fast, miss the
     # tolerance and leave the iterate one step past the last F evaluation.
     # Newton must evaluate F there again: the stale value makes its residual
     # read zero and hands back the unconverged sweep iterate.
     rng = numkit.make_rng(1)
     cfg, p = random_block(rng, 4, theta=0.5, h=0.2)
-    cfg.solver_max_iter = 1
+    monkeypatch.setattr(implicitblock, "SOLVER_MAX_ITER", 1)
     v = rng.standard_normal((4, 2))
     out = solve(cfg, p, v)
     evals = len(f_evals)
@@ -426,6 +429,16 @@ class TestConfigValidation:
     def test_h_positive(self):
         with pytest.raises(ValueError):
             ImplicitBlockConfig(theta=0.5, h=0.0, activation=ActivationKind.TANH)
+
+    def test_solver_settings_are_module_constants(self):
+        cfg = ImplicitBlockConfig(theta=0.5, h=0.1, activation=ActivationKind.TANH)
+        assert cfg.solver_tol == implicitblock.SOLVER_TOL == 1e-10
+        with pytest.raises(AttributeError):
+            cfg.solver_tol = 1e-3
+        with pytest.raises(AttributeError):
+            cfg.solver_max_iter = 1
+        with pytest.raises(TypeError):
+            ImplicitBlockConfig(theta=0.5, h=0.1, activation=ActivationKind.TANH, solver_tol=1e-3)
 
     def test_block_shapes(self):
         with pytest.raises(DimensionMismatchError):

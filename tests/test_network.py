@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -8,7 +9,12 @@ from hypothesis import strategies as st
 
 from implicitnet import numkit
 from implicitnet.datasets import LabeledSet, SetKind, make_regression
-from implicitnet.errors import DimensionMismatchError, NonFiniteLossError, SolverDivergedError
+from implicitnet.errors import (
+    DimensionMismatchError,
+    NonFiniteLossError,
+    ParseError,
+    SolverDivergedError,
+)
 from implicitnet.implicitblock import ActivationKind, WeightMode
 from implicitnet.network import (
     Affine,
@@ -169,11 +175,18 @@ class TestLossAndGrad:
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_full_model_gradients_vs_finite_differences(self):
-        m = init_model(small_spec(hidden_dim=3, depth=2, weight_mode=WeightMode.SKEW_SYMMETRIC), 7)
-        rng = numkit.make_rng(8)
-        report = gradcheck(m, (rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1)))
-        assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
-        assert report.max_rel_err <= 1e-5
+        for output_activation in (ActivationKind.IDENTITY, ActivationKind.SIGMOID):
+            spec = small_spec(
+                hidden_dim=3, depth=2, weight_mode=WeightMode.SKEW_SYMMETRIC,
+                output_activation=output_activation,
+            )
+            m = init_model(spec, 7)
+            rng = numkit.make_rng(8)
+            report = gradcheck(m, (rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1)))
+            assert report.passed, (
+                f"{output_activation}: max rel err {report.max_rel_err} at {report.worst_coord}"
+            )
+            assert report.max_rel_err <= 1e-5
 
     def test_empty_batch_rejected(self):
         m = init_model(small_spec(), 0)
@@ -350,25 +363,26 @@ class TestTrain:
 
 class TestReversibleTraining:
     def test_gradients_match_cached_tapes(self):
-        spec = ModelSpec(
-            input_dim=1,
-            hidden_dim=5,
-            output_dim=1,
-            depth=10,
-            theta=0.5,
-            activation=ActivationKind.TANH,
-            weight_mode=WeightMode.SKEW_SYMMETRIC,
-        )
-        m = init_model(spec, 3)
-        rng = numkit.make_rng(17)
-        for _ in range(3):
-            x = rng.uniform(-1, 1, (1, 6))
-            t = rng.uniform(-1, 1, (1, 6))
-            _, _, g_cached, _ = _loss_and_grad_arrays(m, x, t, LossKind.SQUARED_ERROR, False)
-            _, _, g_rev, _ = _loss_and_grad_arrays(m, x, t, LossKind.SQUARED_ERROR, True)
-            for a, b in zip(g_cached.block_a, g_rev.block_a):
-                assert np.abs(a - b).max() <= 1e-6 * (1 + np.abs(a).max())
-            assert np.abs(g_cached.lift_w - g_rev.lift_w).max() <= 1e-6
+        for theta in (0.5, 1.0):
+            spec = ModelSpec(
+                input_dim=1,
+                hidden_dim=5,
+                output_dim=1,
+                depth=10,
+                theta=theta,
+                activation=ActivationKind.TANH,
+                weight_mode=WeightMode.SKEW_SYMMETRIC,
+            )
+            m = init_model(spec, 3)
+            rng = numkit.make_rng(17)
+            for _ in range(3):
+                x = rng.uniform(-1, 1, (1, 6))
+                t = rng.uniform(-1, 1, (1, 6))
+                _, _, g_cached, _ = _loss_and_grad_arrays(m, x, t, LossKind.SQUARED_ERROR, False)
+                _, _, g_rev, _ = _loss_and_grad_arrays(m, x, t, LossKind.SQUARED_ERROR, True)
+                for a, b in zip(g_cached.block_a, g_rev.block_a):
+                    assert np.abs(a - b).max() <= 1e-6 * (1 + np.abs(a).max()), f"theta {theta}"
+                assert np.abs(g_cached.lift_w - g_rev.lift_w).max() <= 1e-6, f"theta {theta}"
 
     def test_reversible_training_runs(self):
         spec = ModelSpec(input_dim=1, hidden_dim=4, output_dim=1, depth=4, theta=0.5)
@@ -461,7 +475,38 @@ class TestCheckpoint:
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "version": 9}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
+            load_model(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ParseError):
+            load_model(path)
+        path.write_bytes(b"\xff\xfe not text")
+        with pytest.raises(ParseError):
+            load_model(path)
+
+    # How to break a saved depth-4, width-3 checkpoint, and the field the error names.
+    BROKEN = {
+        "two blocks under depth 4": (lambda doc: doc.update(blocks=doc["blocks"][:2]), "spec.depth"),
+        "missing spec": (lambda doc: doc.pop("spec"), "'spec'"),
+        "missing lift": (lambda doc: doc.pop("lift"), "lift.w"),
+        "missing proj.b": (lambda doc: doc["proj"].pop("b"), "proj.b"),
+        "lift.w transposed": (lambda doc: doc["lift"].update(w=np.transpose(doc["lift"]["w"]).tolist()), "lift.w"),
+        "block a ragged": (lambda doc: doc["blocks"][2]["a"][0].append(0.0), r"blocks\[2\]\.a"),
+        "block b too long": (lambda doc: doc["blocks"][1]["b"].append(0.0), r"blocks\[1\]\.b"),
+        "block a text": (lambda doc: doc["blocks"][0].update(a="zeros"), r"blocks\[0\]\.a"),
+        "proj.w for width 4": (lambda doc: doc["proj"]["w"][0].append(0.0), "proj.w"),
+        "infinite horizon": (lambda doc: doc["spec"].update(horizon=math.inf), "spec.horizon"),
+    }
+
+    @pytest.mark.parametrize("broken", sorted(BROKEN))
+    def test_rejects_checkpoints_that_disagree_with_spec(self, tmp_path, broken):
+        path = tmp_path / "model.json"
+        save_model(init_model(small_spec(depth=4), 0), path)
+        doc = json.loads(path.read_text())
+        change, field = self.BROKEN[broken]
+        change(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=field):
             load_model(path)
 
 
