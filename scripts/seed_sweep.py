@@ -6,7 +6,10 @@ This is the script behind the headline numbers: the regression task
 compares final/initial training MSE and validation MSE, the spiral task
 validation accuracy, under identical budgets for the two architectures.
 Every run is a bundled config from ``configs/`` with only theta and the
-seed replaced (and the epoch count, with ``--epochs``).
+seed replaced (and the epoch count, with ``--epochs``). ``COMPARISONS``,
+``load``, ``regression_run`` and ``spiral_run`` are the only definition of
+the comparison: acceptance criteria 5 and 6 import them and apply their
+thresholds to the per-seed results.
 """
 
 import argparse
@@ -31,7 +34,7 @@ COMPARISONS = {
 def load(name, theta, epochs):
     """A bundled config at ``theta``, its epochs replaced when ``epochs`` is given."""
     spec, cfg, data_cfg, _ = load_experiment(CONFIGS / name)
-    cfg = replace(cfg, epochs=epochs or cfg.epochs)
+    cfg = replace(cfg, epochs=cfg.epochs if epochs is None else epochs)
     return replace(spec, theta=theta), cfg, build_data(data_cfg)
 
 
@@ -67,6 +70,10 @@ def main():
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--epochs", type=int, default=None)
     args = ap.parse_args()
+    for flag in ("seeds", "epochs"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            ap.error(f"--{flag} must be >= 1, got {value}")
 
     if args.task in ("regression", "both"):
         runs = [load(name, theta, args.epochs) for name, theta in COMPARISONS["regression"]]

@@ -45,7 +45,7 @@ from .network import (
     save_model,
     train,
 )
-from .numkit import glorot_uniform, make_rng, skew_symmetrize, solve_many
+from .numkit import glorot_uniform, make_rng, solve_many
 from .stabilitylab import (
     SchemeKind,
     SpectralReport,

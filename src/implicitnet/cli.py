@@ -156,7 +156,7 @@ def load_experiment(path):
     """
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8 text
         raise ParseError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")

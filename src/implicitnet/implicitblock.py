@@ -145,8 +145,9 @@ class BlockParams:
         return self.a.shape[0]
 
     def effective_weight(self) -> np.ndarray:
+        """``W = a - a.T`` in skew-symmetric mode (``W + W.T == 0`` exactly), else ``a``."""
         if self.mode is WeightMode.SKEW_SYMMETRIC:
-            return numkit.skew_symmetrize(self.a)
+            return self.a - self.a.T
         return self.a
 
 

@@ -80,7 +80,7 @@ class ModelSpec:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not self.horizon > 0:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.reg_coeff < 0:
+        if not self.reg_coeff >= 0:
             raise ValueError(f"reg_coeff must be nonnegative, got {self.reg_coeff}")
 
     @property

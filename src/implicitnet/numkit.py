@@ -20,12 +20,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _require_square(a: np.ndarray) -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return a.shape[0]
-
-
 def solve_many(mats, rhs) -> np.ndarray:
     """Solve a stack of dense systems ``mats[i] @ x[i] = rhs[i]``.
 
@@ -57,17 +51,6 @@ def solve_many(mats, rhs) -> np.ndarray:
     if not np.all(np.isfinite(sol)):
         raise SingularMatrixError("linear solve produced non-finite values")
     return sol
-
-
-def skew_symmetrize(a) -> np.ndarray:
-    """Return ``W = a - a.T``, the skew-symmetric part (times two).
-
-    The result satisfies ``W + W.T == 0`` exactly, so its spectrum is
-    purely imaginary and the quadratic form ``v.T @ W @ v`` vanishes.
-    """
-    a = np.asarray(a, dtype=float)
-    _require_square(a)
-    return a - a.T
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

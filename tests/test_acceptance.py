@@ -2,13 +2,15 @@
 
 Criteria 5 and 6 train real models over five seeds each and dominate the
 runtime of the suite (a few minutes); everything is seeded and bitwise
-deterministic, so their outcomes are exactly reproducible.
+deterministic, so their outcomes are exactly reproducible. They run the
+comparison that ``scripts/seed_sweep.py`` defines (its configs, thetas and
+per-seed scoring) and apply their own thresholds to its results.
 """
 
 import itertools
 import math
+import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,8 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 from implicitnet import numkit
-from implicitnet.cli import build_data, load_experiment
+from implicitnet.cli import load_experiment
+from implicitnet.errors import SolverDivergedError
 from implicitnet.implicitblock import (
     ActivationKind,
     BlockParams,
@@ -33,22 +36,24 @@ from implicitnet.implicitblock import (
 from implicitnet.network import (
     LossKind,
     ModelSpec,
+    TrainFailure,
+    TrainRecord,
     _loss_and_grad_arrays,
     evaluate,
     init_model,
     param_count,
-    train,
 )
 from implicitnet.stabilitylab import SchemeKind, TestSystem, energy, integrate, spectral_report
 
+# Criteria 5 and 6 run the seed sweep's own comparison code.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from seed_sweep import CONFIGS, COMPARISONS, load, regression_run, spiral_run  # noqa: E402
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-
-def bundled(name, theta):
-    """The bundled experiment ``name`` at ``theta``: spec, train config, (train, val) sets."""
-    spec, cfg, data_cfg, _ = load_experiment(CONFIGS / name)
-    return replace(spec, theta=theta), cfg, build_data(data_cfg)
+def sweep(task, run, seeds):
+    """``run``'s result per seed, for each arm (implicit, explicit) of ``COMPARISONS[task]``."""
+    arms = [load(name, theta, epochs=None) for name, theta in COMPARISONS[task]]
+    return [[run(*arm, seed) for seed in seeds] for arm in arms]
 
 
 def report(num: int, passed: bool, detail: str) -> None:
@@ -206,33 +211,15 @@ EX1_SEEDS = range(5)
 
 def test_criterion_5_regression_stability_claim():
     with Timer() as t:
-        spec, cfg, (train_set, val_set) = bundled("ex1_trapezoidal.json", 0.5)
-
-        initial, final, val_imp = [], [], []
-        implicit_clean = True
-        for seed in EX1_SEEDS:
-            m = init_model(spec, seed)
-            initial.append(evaluate(m, train_set.inputs, train_set.targets, cfg.loss)[0])
-            rec = train(m, train_set, val_set, replace(cfg, seed=seed))
-            if rec.diverged:
-                implicit_clean = False
-                continue
-            final.append(evaluate(m, train_set.inputs, train_set.targets, cfg.loss)[0])
-            val_imp.append(rec.val_loss[-1])
-
+        implicit, explicit = sweep("regression", regression_run, EX1_SEEDS)
+        initial, final, val_imp = zip(*implicit)
+        implicit_clean = all(math.isfinite(f) for f in final)
         ratio = float(np.median(final) / np.median(initial)) if implicit_clean else math.inf
         implicit_ok = implicit_clean and ratio <= 0.1
 
+        med_imp = float(np.median(val_imp))
         # The explicit network of the same depth and budget.
-        explicit = replace(spec, theta=0.0)
-        val_exp = []
-        for seed in EX1_SEEDS:
-            m = init_model(explicit, seed)
-            rec = train(m, train_set, val_set, replace(cfg, seed=seed))
-            val_exp.append(math.inf if rec.diverged else rec.val_loss[-1])
-
-        med_imp = float(np.median(val_imp)) if val_imp else math.inf
-        med_exp = float(np.median(val_exp))
+        med_exp = float(np.median([val for _, _, val in explicit]))
         explicit_ok = med_exp >= 2.0 * med_imp
     ok = implicit_ok and explicit_ok and t.elapsed < 300.0
     report(
@@ -245,17 +232,7 @@ def test_criterion_5_regression_stability_claim():
 
 def test_criterion_6_spirals_comparative_claim():
     with Timer() as t:
-
-        def median_accuracy(name, theta):
-            spec, cfg, (train_set, val_set) = bundled(name, theta)
-            accs = []
-            for seed in range(5):
-                rec = train(init_model(spec, seed), train_set, val_set, replace(cfg, seed=seed))
-                accs.append(0.0 if rec.diverged else rec.val_accuracy[-1])
-            return float(np.median(accs))
-
-        acc_imp = median_accuracy("ex2_trapezoidal.json", 0.5)
-        acc_exp = median_accuracy("ex2_resnet.json", 0.0)
+        acc_imp, acc_exp = (float(np.median(accs)) for accs in sweep("spirals", spiral_run, range(5)))
     ok = acc_imp >= acc_exp and acc_imp >= 0.75 and t.elapsed < 600.0
     report(
         6,
@@ -263,6 +240,21 @@ def test_criterion_6_spirals_comparative_claim():
         f"median accuracy implicit {acc_imp:.4f} vs explicit {acc_exp:.4f}, "
         f"threshold 0.75, {t.elapsed:.0f}s",
     )
+
+
+def test_diverged_runs_fail_the_comparison(monkeypatch, capsys):
+    """A run that stops early scores (initial, inf, inf) or accuracy 0.0, and fails criterion 5."""
+    failure = TrainFailure(1, 1, SolverDivergedError("no convergence"))
+    monkeypatch.setattr("seed_sweep.train", lambda *args: TrainRecord([], [], None, failure))
+
+    spec, cfg, (train_set, val_set) = load(*COMPARISONS["regression"][0], epochs=None)
+    initial = evaluate(init_model(spec, 0), train_set.inputs, train_set.targets, cfg.loss)[0]
+    assert regression_run(spec, cfg, (train_set, val_set), 0) == (initial, math.inf, math.inf)
+    assert spiral_run(*load(*COMPARISONS["spirals"][0], epochs=None), 0) == 0.0
+
+    with pytest.raises(AssertionError):
+        test_criterion_5_regression_stability_claim()
+    assert "no divergence False" in capsys.readouterr().out
 
 
 def test_criterion_7_reversible_training_equivalence():

@@ -226,10 +226,12 @@ class TestTrainCommand:
         cfg = small_config(tmp_path, model={"dropout": 0.5})
         assert main(["train", str(cfg)]) == 1
 
-    def test_bad_json_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}"])
+    def test_bad_json_exits_1(self, tmp_path, capsys, content):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         assert main(["train", str(path)]) == 1
+        assert "invalid JSON" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section,key,override",
@@ -360,17 +362,21 @@ class TestExperimentConfigs:
         assert param_count(model, blocks_only=True) == block_params
 
 
-def test_seed_sweep_runs_from_any_directory(tmp_path):
+def run_seed_sweep(cwd, *flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "seed_sweep.py"), "--seeds", "1", "--epochs", "1"],
-        cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "seed_sweep.py"), *flags],
+        cwd=cwd,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_seed_sweep_runs_from_any_directory(tmp_path):
+    proc = run_seed_sweep(tmp_path, "--seeds", "1", "--epochs", "1")
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
     assert "== regression: depth 10, width 5, lr 0.01, batch 4, 1 epochs ==" in out
@@ -378,3 +384,11 @@ def test_seed_sweep_runs_from_any_directory(tmp_path):
     for theta in (0.5, 0.0):
         assert f"theta={theta} medians: train " in out
         assert f"theta={theta} median accuracy: " in out
+
+
+@pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--seeds", "0"), ("--seeds", "-3")])
+def test_seed_sweep_rejects_counts_below_1(tmp_path, flag, value):
+    proc = run_seed_sweep(tmp_path, flag, value)
+    assert proc.returncode == 2
+    assert f"error: {flag} must be >= 1, got {value}" in proc.stderr
+    assert proc.stdout == ""

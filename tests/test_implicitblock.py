@@ -56,6 +56,32 @@ def random_block(rng, n, mode=WeightMode.RAW, act=ActivationKind.TANH, theta=0.5
     return cfg, params
 
 
+class TestEffectiveWeight:
+    def skew(self, a):
+        return BlockParams(a, np.zeros(len(a)), WeightMode.SKEW_SYMMETRIC).effective_weight()
+
+    def test_hand_case(self):
+        np.testing.assert_array_equal(self.skew([[1.0, 2.0], [3.0, 4.0]]), [[0.0, -1.0], [1.0, 0.0]])
+
+    def test_symmetric_gives_zero(self):
+        a = np.array([[2.0, 5.0], [5.0, -1.0]])
+        np.testing.assert_array_equal(self.skew(a), np.zeros((2, 2)))
+
+    def test_skew_input_doubles(self):
+        a = np.array([[0.0, 3.0], [-3.0, 0.0]])
+        np.testing.assert_array_equal(self.skew(a), 2 * a)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 12))
+    def test_quadratic_form_vanishes(self, seed, n):
+        rng = numkit.make_rng(seed)
+        w = self.skew(rng.standard_normal((n, n)))
+        assert np.abs(w + w.T).max() == 0.0
+        for _ in range(5):
+            v = rng.standard_normal(n)
+            assert abs(v @ w @ v) <= 1e-12 * (v @ v) * max(np.abs(w).max(), 1.0)
+
+
 class TestBlockFn:
     def test_zero_map(self):
         p = BlockParams(np.zeros((2, 2)), np.zeros(2))

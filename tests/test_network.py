@@ -154,6 +154,11 @@ class TestRegularizer:
             blk.b += db
         assert regularizer(m)[0] == pytest.approx(v0, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("coeff", [-0.1, float("nan")])
+    def test_invalid_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="reg_coeff"):
+            small_spec(reg_coeff=coeff)
+
 
 class TestLossAndGrad:
     def test_perfect_fit_squared_error(self):

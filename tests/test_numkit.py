@@ -78,35 +78,6 @@ class TestSolveMany:
             numkit.solve_many(mats, np.ones((2, 2)))
 
 
-class TestSkewSymmetrize:
-    def test_hand_case(self):
-        w = numkit.skew_symmetrize([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(w, [[0.0, -1.0], [1.0, 0.0]])
-
-    def test_symmetric_gives_zero(self):
-        a = np.array([[2.0, 5.0], [5.0, -1.0]])
-        np.testing.assert_array_equal(numkit.skew_symmetrize(a), np.zeros((2, 2)))
-
-    def test_skew_input_doubles(self):
-        a = np.array([[0.0, 3.0], [-3.0, 0.0]])
-        np.testing.assert_array_equal(numkit.skew_symmetrize(a), 2 * a)
-
-    def test_non_square_raises(self):
-        with pytest.raises(DimensionMismatchError):
-            numkit.skew_symmetrize(np.ones((2, 3)))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(1, 12))
-    def test_quadratic_form_vanishes(self, seed, n):
-        rng = numkit.make_rng(seed)
-        w = numkit.skew_symmetrize(rng.standard_normal((n, n)))
-        assert np.abs(w + w.T).max() == 0.0
-        for _ in range(5):
-            v = rng.standard_normal(n)
-            norm_w = np.abs(w).max() if n > 0 else 0.0
-            assert abs(v @ w @ v) <= 1e-12 * (v @ v) * max(norm_w, 1.0)
-
-
 class TestGlorotUniform:
     def test_bound_unit_scale(self):
         # fan_in = fan_out = 3 gives half-width exactly 1.
