@@ -40,6 +40,7 @@ from .network import (
     load_model,
     loss_and_grad,
     model_forward,
+    named_parameters,
     param_count,
     regularizer,
     save_model,

@@ -1,4 +1,4 @@
-"""Benchmark dataset generators and CSV import/export.
+"""Benchmark dataset generators and CSV export.
 
 Two deterministic desk-scale tasks:
 
@@ -11,7 +11,8 @@ Two deterministic desk-scale tasks:
   (256 points) and the rest as training (257 points).
 
 CSV files carry the header ``x0,...,y0,...`` and 17-significant-digit
-decimals, so a write/read round trip reproduces every float exactly.
+decimals, so ``numpy.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)``
+reads every float back exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numkit
-from .errors import InvalidCountError, ParseError
+from .errors import InvalidCountError
 
 
 class SetKind(Enum):
@@ -121,38 +122,3 @@ def to_csv(labeled: LabeledSet, path) -> None:
     for xi, yi in zip(labeled.inputs, labeled.targets):
         lines.append(",".join(f"{v:.17g}" for v in np.concatenate([xi, yi])))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def from_csv(path) -> LabeledSet:
-    """Read a file written by ``to_csv``.
-
-    The kind is inferred: a set whose targets are all exactly 0 or 1 is
-    binary, anything else regression.
-    """
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
-        raise ParseError("empty file, expected a header row", line=1)
-    fields = lines[0].strip().split(",")
-    n_x = sum(1 for f in fields if f.startswith("x"))
-    n_y = sum(1 for f in fields if f.startswith("y"))
-    if n_x < 1 or n_y < 1 or n_x + n_y != len(fields):
-        raise ParseError(f"bad header {lines[0]!r}", line=1)
-    xs, ys = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_x + n_y:
-            raise ParseError(f"expected {n_x + n_y} fields, got {len(parts)}", line=lineno)
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        xs.append(values[:n_x])
-        ys.append(values[n_x:])
-    if not xs:
-        raise ParseError("no data rows", line=len(lines))
-    targets = np.array(ys)
-    kind = SetKind.BINARY if np.all(np.isin(targets, (0.0, 1.0))) else SetKind.REGRESSION
-    return LabeledSet(np.array(xs), targets, kind)

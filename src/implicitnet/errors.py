@@ -31,8 +31,4 @@ class InvalidCountError(ImplicitNetError):
 
 
 class ParseError(ImplicitNetError):
-    """A file could not be parsed; carries the offending line number."""
-
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+    """A config, checkpoint or command-line value could not be parsed."""

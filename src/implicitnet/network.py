@@ -181,18 +181,6 @@ class TrainRecord:
         return self.failure is not None
 
 
-@dataclass
-class ModelGrads:
-    """Gradients mirroring the model's parameter layout."""
-
-    lift_w: np.ndarray
-    lift_b: np.ndarray
-    block_a: list[np.ndarray]
-    block_b: list[np.ndarray]
-    proj_w: np.ndarray
-    proj_b: np.ndarray
-
-
 def init_model(spec: ModelSpec, seed) -> Model:
     """Glorot-uniform matrices, zero biases; draw order lift, blocks, proj."""
     rng = seed if isinstance(seed, np.random.Generator) else numkit.make_rng(seed)
@@ -213,6 +201,18 @@ def init_model(spec: ModelSpec, seed) -> Model:
         np.zeros(spec.output_dim),
     )
     return Model(lift, blocks, proj, spec)
+
+
+def named_parameters(m: Model) -> list[tuple[str, np.ndarray]]:
+    """Every trainable array with its name, in ``init_model``'s draw order.
+
+    The order is ``lift.w``, ``lift.b``, ``blocks[i].a``, ``blocks[i].b``
+    for each block, ``proj.w``, ``proj.b``; gradients come in the same order.
+    """
+    named = [("lift.w", m.lift.w), ("lift.b", m.lift.b)]
+    for i, blk in enumerate(m.blocks):
+        named += [(f"blocks[{i}].a", blk.a), (f"blocks[{i}].b", blk.b)]
+    return named + [("proj.w", m.proj.w), ("proj.b", m.proj.b)]
 
 
 def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
@@ -293,9 +293,10 @@ def _loss_and_grad_arrays(
 ):
     """Full objective (mean data loss + regularizer) and all gradients.
 
-    Returns ``(total, data_loss, grads, input_grad)``. With ``reversible``
-    and ``theta > 0`` no tapes are kept: hidden states are rebuilt backward
-    by inverting each block, so peak storage stays at one layer.
+    Returns ``(total, data_loss, grads, input_grad)``, with ``grads`` in
+    ``named_parameters`` order. With ``reversible`` and ``theta > 0`` no
+    tapes are kept: hidden states are rebuilt backward by inverting each
+    block, so peak storage stays at one layer.
     """
     reversible = reversible and m.spec.theta > 0.0 and bool(m.blocks)
     out, hid, tapes = _forward_arrays(m, x, keep_tapes=not reversible)
@@ -308,12 +309,11 @@ def _loss_and_grad_arrays(
 
     d_out = _data_loss_grad(kind, out, targets)
     d_o = m.spec.output_activation.deriv_from_value(out) * d_out
-    proj_w = d_o @ hid.T
-    proj_b = d_o.sum(axis=1)
+    # Filled in place, block i at 2 + 2i: a second list would raise the step's peak memory.
+    grads: list[np.ndarray] = [None] * (2 * len(m.blocks) + 4)
+    grads[-2:] = d_o @ hid.T, d_o.sum(axis=1)
     d_hid = m.proj.w.T @ d_o
 
-    block_a: list[np.ndarray] = [None] * len(m.blocks)
-    block_b: list[np.ndarray] = [None] * len(m.blocks)
     if m.blocks:
         cfg = m.spec.block_config()
         y = hid
@@ -329,37 +329,25 @@ def _loss_and_grad_arrays(
                 y = x_rec
             else:
                 tape = tapes[i]
-            d_hid, block_a[i], block_b[i] = ib.backward(cfg, blk, tape, d_hid)
-        for i, (rga, rgb) in enumerate(reg_grads):
-            block_a[i] = block_a[i] + rga
-            block_b[i] = block_b[i] + rgb
+            d_hid, grads[2 + 2 * i], grads[3 + 2 * i] = ib.backward(cfg, blk, tape, d_hid)
+        for k, rg in enumerate((g for pair in reg_grads for g in pair), start=2):
+            grads[k] = grads[k] + rg
 
-    lift_w = d_hid @ x.T
-    lift_b = d_hid.sum(axis=1)
-    input_grad = m.lift.w.T @ d_hid
-
-    grads = ModelGrads(lift_w, lift_b, block_a, block_b, proj_w, proj_b)
-    return total, data, grads, input_grad
+    grads[:2] = d_hid @ x.T, d_hid.sum(axis=1)
+    return total, data, grads, m.lift.w.T @ d_hid
 
 
-def loss_and_grad(m: Model, batch, cfg: TrainConfig) -> tuple[float, ModelGrads]:
-    """Mean loss plus regularizer over a batch of ``(x, target)`` pairs."""
+def loss_and_grad(m: Model, batch, cfg: TrainConfig) -> tuple[float, list[np.ndarray]]:
+    """Mean loss plus regularizer over a batch of ``(x, target)`` pairs.
+
+    The gradients come in ``named_parameters`` order.
+    """
     if not batch:
         raise ValueError("batch must be nonempty")
     x = np.stack([np.asarray(p[0], dtype=float) for p in batch], axis=1)
     t = np.stack([np.asarray(p[1], dtype=float) for p in batch], axis=1)
     total, _, grads, _ = _loss_and_grad_arrays(m, x, t, cfg.loss, cfg.reversible)
     return total, grads
-
-
-def _apply_update(m: Model, grads: ModelGrads, lr: float) -> None:
-    m.lift.w -= lr * grads.lift_w
-    m.lift.b -= lr * grads.lift_b
-    for blk, ga, gb in zip(m.blocks, grads.block_a, grads.block_b):
-        blk.a -= lr * ga
-        blk.b -= lr * gb
-    m.proj.w -= lr * grads.proj_w
-    m.proj.b -= lr * grads.proj_b
 
 
 def evaluate(m: Model, inputs: np.ndarray, targets: np.ndarray, kind: LossKind):
@@ -384,6 +372,7 @@ def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
     failure, and the failure itself.
     """
     rng = numkit.make_rng(cfg.seed)
+    params = [p for _, p in named_parameters(m)]
     x_train = np.asarray(train_set.inputs, dtype=float)
     t_train = np.asarray(train_set.targets, dtype=float)
     n = x_train.shape[0]
@@ -403,7 +392,8 @@ def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
                 _, data, grads, _ = _loss_and_grad_arrays(
                     m, x_train[idx].T, t_train[idx].T, cfg.loss, cfg.reversible
                 )
-                _apply_update(m, grads, cfg.learning_rate)
+                for p, g in zip(params, grads):
+                    p -= cfg.learning_rate * g
                 batch_losses.append(data)
             batch = None
             val_loss, val_acc = evaluate(m, val_set.inputs, val_set.targets, cfg.loss)
@@ -422,10 +412,9 @@ def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
 
 def param_count(m: Model, blocks_only: bool = False) -> int:
     """Number of trainable scalars; ``blocks_only`` skips lift and proj."""
-    blocks = sum(b.a.size + b.b.size for b in m.blocks)
     if blocks_only:
-        return blocks
-    return blocks + m.lift.w.size + m.lift.b.size + m.proj.w.size + m.proj.b.size
+        return sum(b.a.size + b.b.size for b in m.blocks)
+    return sum(p.size for _, p in named_parameters(m))
 
 
 @dataclass
@@ -467,15 +456,7 @@ def gradcheck(
 
     _, _, grads, input_grad = _loss_and_grad_arrays(m, x, t, loss)
 
-    groups = [
-        ("lift.w", m.lift.w, grads.lift_w),
-        ("lift.b", m.lift.b, grads.lift_b),
-    ]
-    for i, blk in enumerate(m.blocks):
-        groups.append((f"blocks[{i}].a", blk.a, grads.block_a[i]))
-        groups.append((f"blocks[{i}].b", blk.b, grads.block_b[i]))
-    groups.append(("proj.w", m.proj.w, grads.proj_w))
-    groups.append(("proj.b", m.proj.b, grads.proj_b))
+    groups = [(name, arr, g) for (name, arr), g in zip(named_parameters(m), grads)]
     groups.append(("input", x, input_grad))
 
     worst = 0.0

@@ -276,13 +276,7 @@ def test_criterion_7_reversible_training_equivalence():
             tt = rng.uniform(-1.0, 1.0, (1, 8))
             _, _, g_tape, _ = _loss_and_grad_arrays(m, x, tt, LossKind.SQUARED_ERROR, False)
             _, _, g_rev, _ = _loss_and_grad_arrays(m, x, tt, LossKind.SQUARED_ERROR, True)
-            pairs = (
-                [(g_tape.lift_w, g_rev.lift_w), (g_tape.lift_b, g_rev.lift_b),
-                 (g_tape.proj_w, g_rev.proj_w), (g_tape.proj_b, g_rev.proj_b)]
-                + list(zip(g_tape.block_a, g_rev.block_a))
-                + list(zip(g_tape.block_b, g_rev.block_b))
-            )
-            for a, b in pairs:
+            for a, b in zip(g_tape, g_rev):
                 denom = 1.0 + float(np.abs(a).max())
                 worst_grad = max(worst_grad, float(np.abs(a - b).max()) / denom)
         grads_ok = worst_grad <= 1e-6

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from implicitnet.cli import load_experiment, main
-from implicitnet.datasets import from_csv
 from implicitnet.errors import ParseError
 
 REPO = Path(__file__).resolve().parent.parent
+
+
+def read_csv_values(path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 def read_csv_rows(path):
@@ -123,15 +126,16 @@ class TestDatasetCommand:
     def test_spirals_row_total(self, tmp_path):
         out = tmp_path / "data"
         assert main(["dataset", "--name", "spirals", "--out", str(out)]) == 0
-        train = from_csv(out / "spirals_train.csv")
-        val = from_csv(out / "spirals_val.csv")
+        train = read_csv_values(out / "spirals_train.csv")
+        val = read_csv_values(out / "spirals_val.csv")
+        assert train.shape[1] == val.shape[1] == 3
         assert len(train) + len(val) == 513
 
     def test_regression_row_counts(self, tmp_path):
         out = tmp_path / "data"
         assert main(["dataset", "--name", "regression", "--out", str(out)]) == 0
-        assert len(from_csv(out / "regression_train.csv")) == 100
-        assert len(from_csv(out / "regression_val.csv")) == 200
+        assert read_csv_values(out / "regression_train.csv").shape == (100, 2)
+        assert read_csv_values(out / "regression_val.csv").shape == (200, 2)
 
     def test_unknown_name_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implicitnet.datasets import LabeledSet, SetKind, from_csv, make_regression, make_spirals, target_fn, to_csv
-from implicitnet.errors import InvalidCountError, ParseError
+from implicitnet.datasets import LabeledSet, SetKind, make_regression, make_spirals, target_fn, to_csv
+from implicitnet.errors import InvalidCountError
 
 
 class TestTargetFn:
@@ -104,23 +104,21 @@ class TestMakeSpirals:
             make_spirals(3)
 
 
+def assert_reads_back(labeled: LabeledSet, path) -> None:
+    """``to_csv`` then ``numpy.loadtxt`` gives back every input and target exactly."""
+    to_csv(labeled, path)
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    np.testing.assert_array_equal(back, np.hstack([labeled.inputs, labeled.targets]))
+
+
 class TestCsvRoundTrip:
     def test_regression_round_trip(self, tmp_path):
         train, _ = make_regression(11)
-        path = tmp_path / "reg.csv"
-        to_csv(train, path)
-        back = from_csv(path)
-        np.testing.assert_array_equal(back.inputs, train.inputs)
-        np.testing.assert_array_equal(back.targets, train.targets)
-        assert back.kind is SetKind.REGRESSION
+        assert_reads_back(train, tmp_path / "reg.csv")
 
-    def test_spirals_round_trip_and_kind(self, tmp_path):
+    def test_spirals_round_trip(self, tmp_path):
         train, _ = make_spirals()
-        path = tmp_path / "spi.csv"
-        to_csv(train, path)
-        back = from_csv(path)
-        np.testing.assert_array_equal(back.inputs, train.inputs)
-        assert back.kind is SetKind.BINARY
+        assert_reads_back(train, tmp_path / "spi.csv")
 
     def test_one_dimensional_header(self, tmp_path):
         train, _ = make_regression(0, n_train=2, n_val=1)
@@ -128,34 +126,10 @@ class TestCsvRoundTrip:
         to_csv(train, path)
         assert path.read_text().splitlines()[0] == "x0,y0"
 
-    def test_empty_file_is_parse_error(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ParseError):
-            from_csv(path)
-
-    def test_bad_row_reports_line_number(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x0,y0\n1.0,2.0\n1.0\n")
-        with pytest.raises(ParseError) as err:
-            from_csv(path)
-        assert err.value.line == 3
-
-    def test_non_numeric_field(self, tmp_path):
-        path = tmp_path / "bad2.csv"
-        path.write_text("x0,y0\noops,2.0\n")
-        with pytest.raises(ParseError) as err:
-            from_csv(path)
-        assert err.value.line == 2
-
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 40))
     def test_arbitrary_floats_round_trip(self, tmp_path_factory, seed, n):
         rng = np.random.default_rng(seed)
         ls = LabeledSet(rng.standard_normal((n, 3)) * 10.0**rng.integers(-8, 8),
                         rng.standard_normal((n, 2)), SetKind.REGRESSION)
-        path = tmp_path_factory.mktemp("csv") / "x.csv"
-        to_csv(ls, path)
-        back = from_csv(path)
-        np.testing.assert_array_equal(back.inputs, ls.inputs)
-        np.testing.assert_array_equal(back.targets, ls.targets)
+        assert_reads_back(ls, tmp_path_factory.mktemp("csv") / "x.csv")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from implicitnet import numkit
+from implicitnet.cli import build_data, load_experiment
 from implicitnet.datasets import LabeledSet, SetKind, make_regression
 from implicitnet.errors import (
     DimensionMismatchError,
@@ -28,6 +30,7 @@ from implicitnet.network import (
     load_model,
     loss_and_grad,
     model_forward,
+    named_parameters,
     param_count,
     regularizer,
     save_model,
@@ -262,12 +265,11 @@ class TestTrain:
     def test_zero_learning_rate_keeps_parameters(self):
         spec = ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=2, theta=0.5)
         m = init_model(spec, 0)
-        before = [m.lift.w.copy()] + [b.a.copy() for b in m.blocks]
+        before = [p.copy() for _, p in named_parameters(m)]
         data = tiny_dataset()
         rec = train(m, data, data, TrainConfig(0.0, 4, 3, seed=0))
-        np.testing.assert_array_equal(m.lift.w, before[0])
-        for blk, saved in zip(m.blocks, before[1:]):
-            np.testing.assert_array_equal(blk.a, saved)
+        for (name, p), saved in zip(named_parameters(m), before):
+            np.testing.assert_array_equal(p, saved, err_msg=name)
         # validation loss is evaluated in a fixed order: bitwise constant;
         # train loss averages shuffled batches whose joint solver stopping
         # point shifts within solver_tol, so allow that much jitter
@@ -285,10 +287,8 @@ class TestTrain:
         # train() shuffles, but with one batch the set is identical
         _, grads = loss_and_grad(m1, batch, TrainConfig(lr, 6, 1, seed=9))
         train(m2, data, data, TrainConfig(lr, 6, 1, seed=9))
-        np.testing.assert_allclose(m2.lift.w, m1.lift.w - lr * grads.lift_w, atol=1e-15)
-        np.testing.assert_allclose(
-            m2.blocks[0].a, m1.blocks[0].a - lr * grads.block_a[0], atol=1e-15
-        )
+        for (name, p1), (_, p2), g in zip(named_parameters(m1), named_parameters(m2), grads):
+            np.testing.assert_allclose(p2, p1 - lr * g, atol=1e-15, err_msg=name)
 
     def test_deterministic_given_seed(self):
         spec = ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=2, theta=0.5)
@@ -385,9 +385,8 @@ class TestReversibleTraining:
                 t = rng.uniform(-1, 1, (1, 6))
                 _, _, g_cached, _ = _loss_and_grad_arrays(m, x, t, LossKind.SQUARED_ERROR, False)
                 _, _, g_rev, _ = _loss_and_grad_arrays(m, x, t, LossKind.SQUARED_ERROR, True)
-                for a, b in zip(g_cached.block_a, g_rev.block_a):
-                    assert np.abs(a - b).max() <= 1e-6 * (1 + np.abs(a).max()), f"theta {theta}"
-                assert np.abs(g_cached.lift_w - g_rev.lift_w).max() <= 1e-6, f"theta {theta}"
+                for (name, _), a, b in zip(named_parameters(m), g_cached, g_rev):
+                    assert np.abs(a - b).max() <= 1e-6, f"theta {theta}, {name}"
 
     def test_reversible_training_runs(self):
         spec = ModelSpec(input_dim=1, hidden_dim=4, output_dim=1, depth=4, theta=0.5)
@@ -427,6 +426,20 @@ class TestParamCount:
         assert param_count(m) == param_count(m, blocks_only=True) + (6 + 3) + (3 + 1)
 
 
+class TestNamedParameters:
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_gradients_and_gradcheck_follow_the_names(self, depth):
+        m = init_model(small_spec(depth=depth), 4)
+        named = named_parameters(m)
+        names = [name for name, _ in named]
+        blocks = [f"blocks[{i}].{arr}" for i in range(depth) for arr in "ab"]
+        assert names == ["lift.w", "lift.b"] + blocks + ["proj.w", "proj.b"]
+        sample = (np.array([0.3, -0.2]), np.array([0.5]))
+        _, grads = loss_and_grad(m, [sample], TrainConfig())
+        assert [g.shape for g in grads] == [p.shape for _, p in named]
+        assert list(gradcheck(m, sample).group_errors) == names + ["input"]
+
+
 class TestGradcheckOp:
     def test_linear_zero_weight_model(self):
         spec = small_spec(activation=ActivationKind.IDENTITY, depth=1, reg_coeff=0.0)
@@ -462,12 +475,9 @@ class TestCheckpoint:
         save_model(m, path)
         back = load_model(path)
         assert back.spec == m.spec
-        np.testing.assert_array_equal(back.lift.w, m.lift.w)
-        np.testing.assert_array_equal(back.proj.b, m.proj.b)
-        for b1, b2 in zip(m.blocks, back.blocks):
-            np.testing.assert_array_equal(b1.a, b2.a)
-            np.testing.assert_array_equal(b1.b, b2.b)
-            assert b2.mode is WeightMode.SKEW_SYMMETRIC
+        for (name, p1), (_, p2) in zip(named_parameters(m), named_parameters(back)):
+            np.testing.assert_array_equal(p2, p1, err_msg=name)
+        assert all(b.mode is WeightMode.SKEW_SYMMETRIC for b in back.blocks)
         x = np.array([0.2, -0.9])
         np.testing.assert_array_equal(model_forward(m, x)[0], model_forward(back, x)[0])
 
@@ -526,3 +536,22 @@ class TestEvaluate:
         targets = np.array([[1.0], [1.0], [0.0], [1.0]])
         _, acc = evaluate(m, inputs, targets, LossKind.BINARY_CROSS_ENTROPY)
         assert acc == pytest.approx(0.75)
+
+
+class TestBundledHistories:
+    """Three epochs of each bundled config reproduce its committed history.
+
+    ``runs/`` was generated with NumPy 2.4 and its bundled OpenBLAS 0.3.31
+    (see README); another BLAS may round differently and fail this test
+    without any change to the code.
+    """
+
+    @pytest.mark.parametrize("name", ["ex1_resnet", "ex1_trapezoidal", "ex2_resnet", "ex2_trapezoidal"])
+    def test_first_epochs_match_bitwise(self, name):
+        spec, cfg, data_cfg, _ = load_experiment(REPO / "configs" / f"{name}.json")
+        train_set, val_set = build_data(data_cfg)
+        rec = train(init_model(spec, cfg.seed), train_set, val_set, dataclasses.replace(cfg, epochs=3))
+        columns = [rec.train_loss, rec.val_loss] + ([rec.val_accuracy] if rec.val_accuracy else [])
+        got = [[float(e), *values] for e, values in enumerate(zip(*columns), start=1)]
+        lines = (REPO / "runs" / name / "history.csv").read_text().splitlines()[1:4]
+        assert got == [[float(v) for v in line.split(",")] for line in lines]
