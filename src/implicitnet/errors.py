@@ -10,7 +10,14 @@ class DimensionMismatchError(ImplicitNetError):
 
 
 class SingularMatrixError(ImplicitNetError):
-    """A linear solve hit a (numerically) singular matrix."""
+    """A linear solve hit a (numerically) singular matrix.
+
+    ``layer`` is set when the solve belonged to a network layer's backward pass.
+    """
+
+    def __init__(self, message, layer=None):
+        super().__init__(message)
+        self.layer = layer
 
 
 class SolverDivergedError(ImplicitNetError):

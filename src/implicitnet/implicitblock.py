@@ -49,6 +49,14 @@ column. The public functions also accept a single ``(n,)`` state, which
 they treat as a batch of one and return in its own shape; tapes always
 hold ``(n, B)`` arrays. Parameter gradients returned by ``backward`` are
 summed over the batch.
+
+``forward`` and ``backward`` are thin wrappers over the array-level core
+that a network runs layer by layer. ``solve_layer`` takes the effective
+weight already built, so a network builds every block's at once from its
+``BlockStack``. ``backward_rows`` writes one block's unscaled parameter
+gradients into row ``i`` of stacked buffers, and ``param_grads`` scales,
+sums and skew-projects all the rows at once. A single block is a stack of
+one, so both paths use the same gradient formula.
 """
 
 from __future__ import annotations
@@ -146,9 +154,45 @@ class BlockParams:
 
     def effective_weight(self) -> np.ndarray:
         """``W = a - a.T`` in skew-symmetric mode (``W + W.T == 0`` exactly), else ``a``."""
-        if self.mode is WeightMode.SKEW_SYMMETRIC:
-            return self.a - self.a.T
-        return self.a
+        return _effective_weight(self.a, self.mode)
+
+
+@dataclass
+class BlockStack:
+    """Every block's parameters, stacked: ``a`` is ``(L, n, n)`` and ``b`` is ``(L, n)``.
+
+    ``stack[i]`` and iteration give block ``i`` as ``BlockParams`` whose
+    arrays are views into the stacks, so writes through them land here. The
+    views are made on each access and never stored, so a deep copy holds
+    only its own stacks.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    mode: WeightMode = WeightMode.RAW
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, i: int) -> BlockParams:
+        return BlockParams(self.a[i], self.b[i], self.mode)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def effective_weight(self) -> np.ndarray:
+        """Every block's ``W``, stacked like ``a``."""
+        return _effective_weight(self.a, self.mode)
+
+
+def _skew(a: np.ndarray, out=None) -> np.ndarray:
+    """``a - a^T`` over the last two axes, for one matrix or a stack of them."""
+    return np.subtract(a, a.swapaxes(-1, -2), out=out)
+
+
+def _effective_weight(a: np.ndarray, mode: WeightMode) -> np.ndarray:
+    """``W`` of one pre-skew matrix or a stack: ``a - a^T`` in skew-symmetric mode, else ``a``."""
+    return _skew(a) if mode is WeightMode.SKEW_SYMMETRIC else a
 
 
 @dataclass(slots=True)
@@ -316,34 +360,94 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
     )
 
 
+def solve_layer(cfg: ImplicitBlockConfig, w: np.ndarray, b: np.ndarray, x: np.ndarray):
+    """``forward`` on an ``(n, B)`` batch, given the effective weight ``w``: returns ``(y, tape)``."""
+    act = cfg.activation
+    theta, h = cfg.theta, cfg.h
+
+    fx = act.apply(_affine(w, b, x))
+    sx = act.deriv_from_value(fx)
+
+    if theta == 0.0:
+        # The explicit residual step x + h F(x); backward never reads F(y) here.
+        y = x + h * fx
+        return y, TapeEntry(x, y, sx, None, w)
+    h_theta = h * theta
+    try:
+        # One Newton step from y = x, where the residual is -h F(x).
+        y0 = x - _newton_step(w, sx, h_theta, -h * fx)
+    except SingularMatrixError:
+        y0 = x.copy()
+    base = x + (h * (1.0 - theta)) * fx
+    y, fy = _solve_fixed_point(act, w, b, base, h_theta, y0, "block solver")
+    return y, TapeEntry(x, y, sx, act.deriv_from_value(fy), w)
+
+
 def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarray, TapeEntry]:
     """Solve the block equation for ``y`` and cache what backward needs.
 
     The returned ``y`` satisfies
     ``max |y - x - h(1-theta)F(x) - h theta F(y)| <= SOLVER_TOL``.
     """
-    xc = _columns(params, x)
-    w = params.effective_weight()
-    b = params.b
-    act = cfg.activation
+    y, tape = solve_layer(cfg, params.effective_weight(), params.b, _columns(params, x))
+    return _like(y, x), tape
+
+
+def grad_buffers(cfg: ImplicitBlockConfig, depth: int, width: int):
+    """Uninitialised ``(routes, depth, n, n)`` and ``(routes, depth, n)`` rows for ``backward_rows``.
+
+    Route 0 is the x evaluation of F. Route 1, the y evaluation, exists only
+    when it carries weight: ``theta > 0`` and not ``cfg.paper_param_grad``.
+    """
+    routes = 2 if cfg.theta > 0.0 and not cfg.paper_param_grad else 1
+    return np.empty((routes, depth, width, width)), np.empty((routes, depth, width))
+
+
+def backward_rows(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray, gw, gb, i: int):
+    """Pull the ``(n, B)`` gradient ``g`` back through one block; returns ``grad_x``.
+
+    Writes block ``i``'s unscaled parameter gradients into the buffers of
+    ``grad_buffers``: ``px @ x^T`` and the row sums of ``px`` into route 0,
+    and ``py @ y^T`` and the row sums of ``py`` into route 1 if there is
+    one. ``param_grads`` finishes them.
+    """
+    w = tape.w
     theta, h = cfg.theta, cfg.h
-
-    fx = act.apply(_affine(w, b, xc))
-    sx = act.deriv_from_value(fx)
-
     if theta == 0.0:
-        # The explicit residual step x + h F(x); backward never reads F(y) here.
-        y = xc + h * fx
-        return _like(y, x), TapeEntry(xc, y, sx, None, w)
-    h_theta = h * theta
-    try:
-        # One Newton step from y = x, where the residual is -h F(x).
-        y0 = xc - _newton_step(w, sx, h_theta, -h * fx)
-    except SingularMatrixError:
-        y0 = xc.copy()
-    base = xc + (h * (1.0 - theta)) * fx
-    y, fy = _solve_fixed_point(act, w, b, base, h_theta, y0, "block solver")
-    return _like(y, x), TapeEntry(xc, y, sx, act.deriv_from_value(fy), w)
+        wvec = g
+    else:
+        # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
+        mats = _shifted_identity(w, tape.sy, h * theta).transpose(0, 2, 1)
+        wvec = numkit.solve_many(mats, g.T).T
+
+    px = tape.sx * wvec
+    np.matmul(px, tape.x.T, out=gw[0, i])
+    px.sum(axis=1, out=gb[0, i])
+    if len(gw) == 2:
+        py = tape.sy * wvec
+        np.matmul(py, tape.y.T, out=gw[1, i])
+        py.sum(axis=1, out=gb[1, i])
+    return wvec + (h * (1.0 - theta)) * (w.T @ px)
+
+
+def param_grads(cfg: ImplicitBlockConfig, mode: WeightMode, gw, gb):
+    """Finish ``backward_rows``' buffers in place into ``(grad_a, grad_b)``, stacked by block.
+
+    Route 0 is weighted by h(1-theta) and route 1 by h theta, then they are
+    summed; in skew-symmetric mode ``grad_a`` is ``grad_W - grad_W^T``.
+    """
+    h, theta = cfg.h, cfg.theta
+    gw[0] *= h * (1.0 - theta)
+    gb[0] *= h * (1.0 - theta)
+    if len(gw) == 2:
+        gw[1] *= h * theta
+        gb[1] *= h * theta
+        gw[0] += gw[1]
+        gb[0] += gb[1]
+    if mode is WeightMode.SKEW_SYMMETRIC:
+        # Route 1 is spent, so its rows take the result when there are any.
+        return _skew(gw[0], out=gw[1] if len(gw) == 2 else None), gb[0]
+    return gw[0], gb[0]
 
 
 def backward(
@@ -367,32 +471,10 @@ def backward(
         raise DimensionMismatchError(
             f"grad_y shape {np.shape(grad_y)} does not match y {tape.y.shape}"
         )
-    w = tape.w
-    theta, h = cfg.theta, cfg.h
-    h_theta = h * theta
-    h_one_minus = h * (1.0 - theta)
-
-    if theta == 0.0:
-        wvec = g
-    else:
-        # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
-        mats = _shifted_identity(w, tape.sy, h_theta).transpose(0, 2, 1)
-        wvec = numkit.solve_many(mats, g.T).T
-
-    px = tape.sx * wvec
-    grad_x = wvec + h_one_minus * (w.T @ px)
-    grad_w = h_one_minus * (px @ tape.x.T)
-    grad_b = h_one_minus * px.sum(axis=1)
-    if theta > 0.0 and not cfg.paper_param_grad:
-        py = tape.sy * wvec
-        grad_w = grad_w + h_theta * (py @ tape.y.T)
-        grad_b = grad_b + h_theta * py.sum(axis=1)
-
-    if params.mode is WeightMode.SKEW_SYMMETRIC:
-        grad_a = grad_w - grad_w.T
-    else:
-        grad_a = grad_w
-    return _like(grad_x, grad_y), grad_a, grad_b
+    gw, gb = grad_buffers(cfg, 1, params.width)
+    grad_x = backward_rows(cfg, tape, g, gw, gb, 0)
+    grad_a, grad_b = param_grads(cfg, params.mode, gw, gb)
+    return _like(grad_x, grad_y), grad_a[0], grad_b[0]
 
 
 def make_tape(cfg: ImplicitBlockConfig, params: BlockParams, x, y) -> TapeEntry:

@@ -36,7 +36,7 @@ from .errors import (
     SingularMatrixError,
     SolverDivergedError,
 )
-from .implicitblock import ActivationKind, BlockParams, ImplicitBlockConfig, WeightMode
+from .implicitblock import ActivationKind, BlockStack, ImplicitBlockConfig, WeightMode
 
 CHECKPOINT_FORMAT = "implicitnet-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -112,8 +112,10 @@ class Affine:
 
 @dataclass
 class Model:
+    """``blocks`` stacks every block's matrix and bias (see ``BlockStack``)."""
+
     lift: Affine
-    blocks: list[BlockParams]
+    blocks: BlockStack
     proj: Affine
     spec: ModelSpec
 
@@ -184,18 +186,11 @@ class TrainRecord:
 def init_model(spec: ModelSpec, seed) -> Model:
     """Glorot-uniform matrices, zero biases; draw order lift, blocks, proj."""
     rng = seed if isinstance(seed, np.random.Generator) else numkit.make_rng(seed)
-    lift = Affine(
-        numkit.glorot_uniform(rng, spec.input_dim, spec.hidden_dim),
-        np.zeros(spec.hidden_dim),
-    )
-    blocks = [
-        BlockParams(
-            numkit.glorot_uniform(rng, spec.hidden_dim, spec.hidden_dim),
-            np.zeros(spec.hidden_dim),
-            spec.weight_mode,
-        )
-        for _ in range(spec.depth)
-    ]
+    n = spec.hidden_dim
+    lift = Affine(numkit.glorot_uniform(rng, spec.input_dim, n), np.zeros(n))
+    blocks = BlockStack(np.empty((spec.depth, n, n)), np.zeros((spec.depth, n)), spec.weight_mode)
+    for a in blocks.a:
+        a[...] = numkit.glorot_uniform(rng, n, n)
     proj = Affine(
         numkit.glorot_uniform(rng, spec.hidden_dim, spec.output_dim),
         np.zeros(spec.output_dim),
@@ -206,13 +201,18 @@ def init_model(spec: ModelSpec, seed) -> Model:
 def named_parameters(m: Model) -> list[tuple[str, np.ndarray]]:
     """Every trainable array with its name, in ``init_model``'s draw order.
 
-    The order is ``lift.w``, ``lift.b``, ``blocks[i].a``, ``blocks[i].b``
-    for each block, ``proj.w``, ``proj.b``; gradients come in the same order.
+    The order is ``lift.w``, ``lift.b``, ``blocks.a`` (every block's
+    matrix, ``(L, n, n)``), ``blocks.b`` (every block's bias, ``(L, n)``),
+    ``proj.w``, ``proj.b``; gradients come in the same order and shapes.
     """
-    named = [("lift.w", m.lift.w), ("lift.b", m.lift.b)]
-    for i, blk in enumerate(m.blocks):
-        named += [(f"blocks[{i}].a", blk.a), (f"blocks[{i}].b", blk.b)]
-    return named + [("proj.w", m.proj.w), ("proj.b", m.proj.b)]
+    return [
+        ("lift.w", m.lift.w),
+        ("lift.b", m.lift.b),
+        ("blocks.a", m.blocks.a),
+        ("blocks.b", m.blocks.b),
+        ("proj.w", m.proj.w),
+        ("proj.b", m.proj.b),
+    ]
 
 
 def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
@@ -224,9 +224,9 @@ def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
     tapes: list[ib.TapeEntry] = []
     if m.blocks:
         cfg = m.spec.block_config()
-        for i, blk in enumerate(m.blocks):
+        for i, (w, b) in enumerate(zip(m.blocks.effective_weight(), m.blocks.b)):
             try:
-                hid, tape = ib.forward(cfg, blk, hid)
+                hid, tape = ib.solve_layer(cfg, w, b, hid)
             except SolverDivergedError as exc:
                 exc.layer = i
                 raise
@@ -266,22 +266,25 @@ def _data_loss_grad(kind: LossKind, out: np.ndarray, targets: np.ndarray) -> np.
     return (-t / p + (1.0 - t) / (1.0 - p)) / batch
 
 
-def regularizer(m: Model) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Layer-smoothness penalty and its exact per-block gradients."""
-    depth = len(m.blocks)
+def regularizer(m: Model) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Layer-smoothness penalty and its exact gradients ``(grad_a, grad_b)``.
+
+    The gradients are stacked like ``m.blocks.a`` and ``m.blocks.b``.
+    """
+    a, b = m.blocks.a, m.blocks.b
+    depth = len(a)
     if depth < 2 or m.spec.reg_coeff == 0.0:
-        zeros = [(np.zeros_like(b.a), np.zeros_like(b.b)) for b in m.blocks]
-        return 0.0, zeros
-    n = m.spec.hidden_dim
-    stacked = np.stack([np.concatenate([b.a.ravel(), b.b]) for b in m.blocks])
+        return 0.0, (np.zeros_like(a), np.zeros_like(b))
+    # Row k is w_k: block k's matrix entries, then its bias.
+    stacked = np.concatenate((a.reshape(depth, -1), b), axis=1)
     c = m.spec.reg_coeff / depth
     diffs = stacked[1:] - stacked[:-1]
     value = c * float((diffs * diffs).sum())
+    diffs *= 2.0 * c
     grad = np.zeros_like(stacked)
-    grad[1:] += 2.0 * c * diffs
-    grad[:-1] -= 2.0 * c * diffs
-    per_block = [(grad[k, : n * n].reshape(n, n), grad[k, n * n :]) for k in range(depth)]
-    return value, per_block
+    grad[1:] += diffs
+    grad[:-1] -= diffs
+    return value, (grad[:, : a[0].size].reshape(a.shape), grad[:, a[0].size :])
 
 
 def _loss_and_grad_arrays(
@@ -309,17 +312,21 @@ def _loss_and_grad_arrays(
 
     d_out = _data_loss_grad(kind, out, targets)
     d_o = m.spec.output_activation.deriv_from_value(out) * d_out
-    # Filled in place, block i at 2 + 2i: a second list would raise the step's peak memory.
-    grads: list[np.ndarray] = [None] * (2 * len(m.blocks) + 4)
-    grads[-2:] = d_o @ hid.T, d_o.sum(axis=1)
+    proj_grads = d_o @ hid.T, d_o.sum(axis=1)
     d_hid = m.proj.w.T @ d_o
 
+    block_grads = reg_grads
     if m.blocks:
+        # The loop keeps only the layer recursion; each layer writes its raw
+        # parameter gradients into row i, and the rows are finished in one go.
         cfg = m.spec.block_config()
+        gw, gb = ib.grad_buffers(cfg, len(m.blocks), m.spec.hidden_dim)
         y = hid
         for i in range(len(m.blocks) - 1, -1, -1):
-            blk = m.blocks[i]
             if reversible:
+                # The stack of effective weights is not kept for this path:
+                # holding it through backward would raise the step's peak memory.
+                blk = m.blocks[i]
                 try:
                     x_rec = ib.reconstruct_input(cfg, blk, y)
                 except SolverDivergedError as exc:
@@ -329,11 +336,18 @@ def _loss_and_grad_arrays(
                 y = x_rec
             else:
                 tape = tapes[i]
-            d_hid, grads[2 + 2 * i], grads[3 + 2 * i] = ib.backward(cfg, blk, tape, d_hid)
-        for k, rg in enumerate((g for pair in reg_grads for g in pair), start=2):
-            grads[k] = grads[k] + rg
+            try:
+                d_hid = ib.backward_rows(cfg, tape, d_hid, gw, gb, i)
+            except SingularMatrixError as exc:
+                exc.layer = i
+                raise
+        block_grads = ib.param_grads(cfg, m.blocks.mode, gw, gb)
+        # Added after the data gradient is finished, so that each row is the
+        # per-block ``backward`` result plus the regularizer's, bit for bit.
+        for g, rg in zip(block_grads, reg_grads):
+            g += rg
 
-    grads[:2] = d_hid @ x.T, d_hid.sum(axis=1)
+    grads = [d_hid @ x.T, d_hid.sum(axis=1), *block_grads, *proj_grads]
     return total, data, grads, m.lift.w.T @ d_hid
 
 
@@ -413,7 +427,7 @@ def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
 def param_count(m: Model, blocks_only: bool = False) -> int:
     """Number of trainable scalars; ``blocks_only`` skips lift and proj."""
     if blocks_only:
-        return sum(b.a.size + b.b.size for b in m.blocks)
+        return m.blocks.a.size + m.blocks.b.size
     return sum(p.size for _, p in named_parameters(m))
 
 
@@ -456,8 +470,12 @@ def gradcheck(
 
     _, _, grads, input_grad = _loss_and_grad_arrays(m, x, t, loss)
 
-    groups = [(name, arr, g) for (name, arr), g in zip(named_parameters(m), grads)]
-    groups.append(("input", x, input_grad))
+    # ``grads`` follows ``named_parameters``; the blocks are reported one by one.
+    groups = [("lift.w", m.lift.w, grads[0]), ("lift.b", m.lift.b, grads[1])]
+    for i in range(len(m.blocks)):
+        groups.append((f"blocks[{i}].a", m.blocks.a[i], grads[2][i]))
+        groups.append((f"blocks[{i}].b", m.blocks.b[i], grads[3][i]))
+    groups += [("proj.w", m.proj.w, grads[4]), ("proj.b", m.proj.b, grads[5]), ("input", x, input_grad)]
 
     worst = 0.0
     worst_coord = "none"
@@ -586,23 +604,17 @@ def load_model(path) -> Model:
     blocks = doc.get("blocks")
     if not isinstance(blocks, list) or len(blocks) != spec.depth:
         raise ParseError(f"checkpoint blocks must be a list of spec.depth = {spec.depth} blocks")
-    lift, proj = doc.get("lift"), doc.get("proj")
-    return Model(
-        Affine(
-            _read_array(lift, "w", "lift.w", (n, n_in)),
-            _read_array(lift, "b", "lift.b", (n,)),
-        ),
-        [
-            BlockParams(
-                _read_array(blk, "a", f"blocks[{i}].a", (n, n)),
-                _read_array(blk, "b", f"blocks[{i}].b", (n,)),
-                spec.weight_mode,
-            )
-            for i, blk in enumerate(blocks)
-        ],
-        Affine(
-            _read_array(proj, "w", "proj.w", (n_out, n)),
-            _read_array(proj, "b", "proj.b", (n_out,)),
-        ),
-        spec,
+    lift_doc, proj_doc = doc.get("lift"), doc.get("proj")
+    lift = Affine(
+        _read_array(lift_doc, "w", "lift.w", (n, n_in)),
+        _read_array(lift_doc, "b", "lift.b", (n,)),
     )
+    stack = BlockStack(np.empty((spec.depth, n, n)), np.empty((spec.depth, n)), spec.weight_mode)
+    for i, blk in enumerate(blocks):
+        stack.a[i] = _read_array(blk, "a", f"blocks[{i}].a", (n, n))
+        stack.b[i] = _read_array(blk, "b", f"blocks[{i}].b", (n,))
+    proj = Affine(
+        _read_array(proj_doc, "w", "proj.w", (n_out, n)),
+        _read_array(proj_doc, "b", "proj.b", (n_out,)),
+    )
+    return Model(lift, stack, proj, spec)

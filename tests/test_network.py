@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +17,22 @@ from implicitnet.errors import (
     DimensionMismatchError,
     NonFiniteLossError,
     ParseError,
+    SingularMatrixError,
     SolverDivergedError,
 )
-from implicitnet.implicitblock import ActivationKind, WeightMode
+from implicitnet.implicitblock import (
+    ActivationKind,
+    WeightMode,
+    backward,
+    make_tape,
+    reconstruct_input,
+)
 from implicitnet.network import (
     Affine,
     LossKind,
     ModelSpec,
     TrainConfig,
+    _data_loss_grad,
     _loss_and_grad_arrays,
     evaluate,
     gradcheck,
@@ -108,13 +118,12 @@ class TestModelForward:
 class TestRegularizer:
     def test_identical_layers_give_zero(self):
         m = init_model(small_spec(depth=3), 2)
-        for blk in m.blocks[1:]:
-            blk.a[:] = m.blocks[0].a
-            blk.b[:] = m.blocks[0].b
-        value, grads = regularizer(m)
+        m.blocks.a[1:] = m.blocks.a[0]
+        m.blocks.b[1:] = m.blocks.b[0]
+        value, (ga, gb) = regularizer(m)
         assert value == 0.0
-        for ga, gb in grads:
-            assert np.abs(ga).max() == 0.0 and np.abs(gb).max() == 0.0
+        assert ga.shape == m.blocks.a.shape and gb.shape == m.blocks.b.shape
+        assert np.abs(ga).max() == 0.0 and np.abs(gb).max() == 0.0
 
     def test_two_layer_hand_value(self):
         m = init_model(small_spec(depth=2, hidden_dim=3), 0)
@@ -128,10 +137,10 @@ class TestRegularizer:
 
     def test_gradients_match_finite_differences(self):
         m = init_model(small_spec(depth=3), 4)
-        value, grads = regularizer(m)
+        value, (ga, gb) = regularizer(m)
         eps = 1e-6
         for k, blk in enumerate(m.blocks):
-            for arr, grad in ((blk.a, grads[k][0]), (blk.b, grads[k][1])):
+            for arr, grad in ((blk.a, ga[k]), (blk.b, gb[k])):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     idx = it.multi_index
@@ -240,8 +249,9 @@ class TestLossAndGrad:
         visited = []
 
         def failing_at_block_1(cfg, params, y):
-            visited.append(params)
-            if params is m.blocks[1]:
+            # The block whose stack rows ``params`` views.
+            visited.append(next(i for i in range(4) if np.shares_memory(params.a, m.blocks.a[i])))
+            if visited[-1] == 1:
                 raise SolverDivergedError("forced", residual=1.0)
             return reconstruct(cfg, params, y)
 
@@ -251,7 +261,33 @@ class TestLossAndGrad:
             _loss_and_grad_arrays(m, x, np.zeros((1, 2)), LossKind.SQUARED_ERROR, True)
         assert err.value.layer == 1
         assert err.value.residual == 1.0
-        assert visited == [m.blocks[3], m.blocks[2], m.blocks[1]]
+        assert visited == [3, 2, 1]
+
+    def test_singular_backward_solve_carries_layer_index(self, monkeypatch):
+        from implicitnet import implicitblock
+
+        # Backward visits layers 2, 1, 0; its second transposed solve,
+        # layer 1's, is forced to fail as a singular matrix would.
+        m = init_model(ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=3, theta=0.5), 0)
+        pull_back = implicitblock.backward_rows
+        calls = []
+
+        def singular_at_second(cfg, tape, g, gw, gb, i):
+            calls.append(i)
+            if len(calls) == 2:
+                raise SingularMatrixError("forced singular backward solve")
+            return pull_back(cfg, tape, g, gw, gb, i)
+
+        monkeypatch.setattr(implicitblock, "backward_rows", singular_at_second)
+        data = tiny_dataset()
+        rec = train(m, data, data, TrainConfig(0.01, 4, 1, seed=0))
+        assert calls == [2, 1]
+        failure = rec.failure
+        assert isinstance(failure.error, SingularMatrixError)
+        assert (failure.epoch, failure.batch, failure.error.layer) == (1, 1, 1)
+        assert str(failure) == (
+            "SingularMatrixError at epoch 1, batch 1, layer 1: forced singular backward solve"
+        )
 
 
 def tiny_dataset(seed=0, n=12):
@@ -342,16 +378,16 @@ class TestTrain:
         # block solves per epoch; the twelfth is epoch 2, batch 2, layer 1.
         spec = ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=2, theta=0.5)
         m = init_model(spec, 0)
-        solve = implicitblock.forward
+        solve = implicitblock.solve_layer
         calls = []
 
-        def failing_twelfth(cfg, params, x):
+        def failing_twelfth(cfg, w, b, x):
             calls.append(1)
             if len(calls) == 12:
                 raise SolverDivergedError("forced", residual=1.0)
-            return solve(cfg, params, x)
+            return solve(cfg, w, b, x)
 
-        monkeypatch.setattr(implicitblock, "forward", failing_twelfth)
+        monkeypatch.setattr(implicitblock, "solve_layer", failing_twelfth)
         data = tiny_dataset()
         rec = train(m, data, data, TrainConfig(0.01, 4, 3, seed=0))
         assert len(rec.train_loss) == len(rec.val_loss) == 1
@@ -432,12 +468,16 @@ class TestNamedParameters:
         m = init_model(small_spec(depth=depth), 4)
         named = named_parameters(m)
         names = [name for name, _ in named]
-        blocks = [f"blocks[{i}].{arr}" for i in range(depth) for arr in "ab"]
-        assert names == ["lift.w", "lift.b"] + blocks + ["proj.w", "proj.b"]
+        assert names == ["lift.w", "lift.b", "blocks.a", "blocks.b", "proj.w", "proj.b"]
+        assert named[2][1] is m.blocks.a and named[3][1] is m.blocks.b
+        assert m.blocks.a.shape == (depth, 3, 3) and m.blocks.b.shape == (depth, 3)
         sample = (np.array([0.3, -0.2]), np.array([0.5]))
         _, grads = loss_and_grad(m, [sample], TrainConfig())
         assert [g.shape for g in grads] == [p.shape for _, p in named]
-        assert list(gradcheck(m, sample).group_errors) == names + ["input"]
+        # gradcheck reports the blocks one by one, in the order they are drawn.
+        blocks = [f"blocks[{i}].{arr}" for i in range(depth) for arr in "ab"]
+        groups = ["lift.w", "lift.b"] + blocks + ["proj.w", "proj.b", "input"]
+        assert list(gradcheck(m, sample).group_errors) == groups
 
 
 class TestGradcheckOp:
@@ -555,3 +595,115 @@ class TestBundledHistories:
         got = [[float(e), *values] for e, values in enumerate(zip(*columns), start=1)]
         lines = (REPO / "runs" / name / "history.csv").read_text().splitlines()[1:4]
         assert got == [[float(v) for v in line.split(",")] for line in lines]
+
+
+class TestStackedStorage:
+    """``m.blocks`` holds two stacks; its per-block views write through to them."""
+
+    def trained_copy_of(self, m):
+        model = copy.deepcopy(m)
+        data = tiny_dataset(2)
+        train(model, data, data, TrainConfig(0.05, 4, 2, seed=3))
+        return model
+
+    def test_writes_through_block_views_land_in_the_stack(self):
+        spec = ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=3, theta=0.5)
+        m = init_model(spec, 0)
+        before = self.trained_copy_of(m)
+        m.blocks[1].a[0, 2] += 0.25
+        m.blocks[2].b[1] = -0.5
+        assert m.blocks.a[1, 0, 2] == init_model(spec, 0).blocks.a[1, 0, 2] + 0.25
+        assert m.blocks.b[2, 1] == -0.5
+        after = self.trained_copy_of(m)
+        assert not np.array_equal(after.blocks.a, before.blocks.a)
+
+    def test_deep_copy_trains_alone_and_its_views_alias_its_stacks(self):
+        m = init_model(ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=3, theta=0.5), 4)
+        saved = [p.copy() for _, p in named_parameters(m)]
+        twin = self.trained_copy_of(m)
+        for (name, p), original in zip(named_parameters(m), saved):
+            np.testing.assert_array_equal(p, original, err_msg=name)
+        assert not np.array_equal(twin.blocks.a, m.blocks.a)
+        assert not np.shares_memory(twin.blocks.a, m.blocks.a)
+        for i, blk in enumerate(twin.blocks):
+            assert np.shares_memory(blk.a, twin.blocks.a) and np.shares_memory(blk.b, twin.blocks.b)
+            blk.a[0, 0] = float(i)
+        assert list(twin.blocks.a[:, 0, 0]) == [0.0, 1.0, 2.0]
+
+
+class TestOneGradientFormula:
+    """The stacked block gradients equal, bit for bit, the per-block ``backward``
+    results plus the regularizer gradient: one formula serves both."""
+
+    # bundled run, spec changes, reversible
+    CASES = {
+        "theta 0": ("ex1_resnet", {}, False),
+        "theta 0 raw": ("ex2_resnet", {"weight_mode": WeightMode.RAW}, False),
+        "theta 0.5 tape": ("ex1_trapezoidal", {}, False),
+        "theta 0.5 tape raw": ("ex1_trapezoidal", {"weight_mode": WeightMode.RAW}, False),
+        "theta 0.5 reversible": ("ex2_trapezoidal", {}, True),
+        "theta 0.5 reversible raw": ("ex2_trapezoidal", {"weight_mode": WeightMode.RAW}, True),
+        "paper_param_grad": ("ex1_trapezoidal", {"paper_param_grad": True}, False),
+        "paper_param_grad reversible": ("ex2_trapezoidal", {"paper_param_grad": True}, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stacked_gradients_match_per_block_backward(self, case):
+        run, change, reversible = self.CASES[case]
+        _, cfg, _, _ = load_experiment(REPO / "configs" / f"{run}.json")
+        bundled = load_model(REPO / "runs" / run / "model.json")
+        m = init_model(dataclasses.replace(bundled.spec, **change), 0)
+        for (_, p), (_, q) in zip(named_parameters(m), named_parameters(bundled)):
+            p[...] = q
+        rng = numkit.make_rng(7)
+        x = rng.uniform(-1, 1, (m.spec.input_dim, 6))
+        t = (rng.uniform(0, 1, (1, 6)) > 0.5).astype(float)
+        _, _, grads, _ = _loss_and_grad_arrays(m, x, t, cfg.loss, reversible)
+
+        out, tapes = model_forward(m, x)
+        d_o = m.spec.output_activation.deriv_from_value(out) * _data_loss_grad(cfg.loss, out, t)
+        g = m.proj.w.T @ d_o
+        _, (reg_a, reg_b) = regularizer(m)
+        block_cfg = m.spec.block_config()
+        y = tapes[-1].y
+        for i in range(m.spec.depth - 1, -1, -1):
+            blk = m.blocks[i]
+            tape = tapes[i]
+            if reversible:
+                x_in = reconstruct_input(block_cfg, blk, y)
+                tape = make_tape(block_cfg, blk, x_in, y)
+                y = x_in
+            g, grad_a, grad_b = backward(block_cfg, blk, tape, g)
+            assert np.array_equal(grads[2][i], grad_a + reg_a[i]), f"blocks[{i}].a"
+            assert np.array_equal(grads[3][i], grad_b + reg_b[i]), f"blocks[{i}].b"
+        assert np.array_equal(grads[0], g @ x.T)
+
+
+class TestReversibleMemory:
+    """Reversible training keeps no per-layer tapes, so its peak memory grows
+    far more slowly with depth than the tape path's (the paper's claim)."""
+
+    @staticmethod
+    def peak_kib(depth, reversible):
+        spec = ModelSpec(
+            input_dim=2, hidden_dim=6, output_dim=1, depth=depth, theta=0.5,
+            activation=ActivationKind.TANH, weight_mode=WeightMode.SKEW_SYMMETRIC,
+        )
+        m = init_model(spec, 0)
+        rng = numkit.make_rng(1)
+        batch = list(zip(rng.uniform(-1, 1, (32, 2)), rng.uniform(-1, 1, (32, 1))))
+        cfg = TrainConfig(batch_size=32, reversible=reversible)
+        loss_and_grad(m, batch, cfg)  # fill first-call caches
+        tracemalloc.start()
+        try:
+            loss_and_grad(m, batch, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / 1024.0
+
+    def test_reversible_peak_grows_at_most_a_quarter_as_fast_per_layer(self):
+        per_layer = {
+            rev: (self.peak_kib(100, rev) - self.peak_kib(10, rev)) / 90 for rev in (False, True)
+        }
+        assert per_layer[True] <= 0.25 * per_layer[False], per_layer
