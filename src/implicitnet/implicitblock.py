@@ -46,17 +46,21 @@ solution.
 
 Internally every state is a batch: an ``(n, B)`` array with one state per
 column. The public functions also accept a single ``(n,)`` state, which
-they treat as a batch of one and return in its own shape; tapes always
-hold ``(n, B)`` arrays. Parameter gradients returned by ``backward`` are
-summed over the batch.
+they treat as a batch of one and return in its own shape; a block's
+tape always holds ``(n, B)`` arrays. Parameter gradients returned by
+``backward`` are summed over the batch.
 
 ``forward`` and ``backward`` are thin wrappers over the array-level core
 that a network runs layer by layer. ``solve_layer`` takes the effective
 weight already built, so a network builds every block's at once from its
-``BlockStack``. ``backward_rows`` writes one block's unscaled parameter
-gradients into row ``i`` of stacked buffers, and ``param_grads`` scales,
-sums and skew-projects all the rows at once. A single block is a stack of
-one, so both paths use the same gradient formula.
+``BlockStack``, and returns ``F(x)`` and ``F(y)``, whose slopes a network
+takes once for all layers. ``pull_back`` does one block's backward
+recursion and writes the pulled-back slopes ``px``/``py``; ``grad_rows``
+turns them into unscaled parameter-gradient rows, for one block's
+``(n, B)`` arrays or for ``(L, n, B)`` stacks of every block in one batched
+product; and ``param_grads`` scales, sums and skew-projects all the rows
+at once. A single block is a stack of one, so every path uses the same
+gradient formula.
 """
 
 from __future__ import annotations
@@ -100,19 +104,25 @@ class ActivationKind(Enum):
             return np.tanh(u)
         return _sigmoid(u)
 
-    def deriv_from_value(self, value: np.ndarray) -> np.ndarray:
+    def deriv_from_value(self, value: np.ndarray, out=None) -> np.ndarray:
         """The derivative ``act'(u)`` at ``u``, computed from ``value = apply(u)``.
 
         Every derivative in the package is taken this way, from a value
-        already evaluated, so no transcendental is computed twice.
+        already evaluated, so no transcendental is computed twice. ``out``
+        receives the result when given, and may be ``value`` itself.
         """
+        if out is None:
+            out = np.empty_like(value)
         if self is ActivationKind.IDENTITY:
-            return np.ones_like(value)
-        if self is ActivationKind.RELU:
-            return (value > 0.0).astype(float)
-        if self is ActivationKind.TANH:
-            return 1.0 - value * value
-        return value * (1.0 - value)
+            out[...] = 1.0
+        elif self is ActivationKind.RELU:
+            np.greater(value, 0.0, out=out)
+        elif self is ActivationKind.TANH:
+            np.multiply(value, value, out=out)
+            np.subtract(1.0, out, out=out)
+        else:
+            np.multiply(value, 1.0 - value, out=out)
+        return out
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -157,14 +167,15 @@ class BlockParams:
         return _effective_weight(self.a, self.mode)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockStack:
     """Every block's parameters, stacked: ``a`` is ``(L, n, n)`` and ``b`` is ``(L, n)``.
 
     ``stack[i]`` and iteration give block ``i`` as ``BlockParams`` whose
     arrays are views into the stacks, so writes through them land here. The
     views are made on each access and never stored, so a deep copy holds
-    only its own stacks.
+    only its own stacks. The arrays are updated in place; the fields cannot
+    be replaced.
     """
 
     a: np.ndarray
@@ -224,13 +235,16 @@ class ImplicitBlockConfig:
 
 
 class TapeEntry:
-    """Per-layer cache for the backward pass.
+    """What the backward pass reads: one block's, or every block's stacked.
 
     Holds the ``(n, B)`` states ``x`` and ``y``, the activation derivatives
     ``sx = act'(W x + b)`` and ``sy = act'(W y + b)`` of the same shape, and
     the effective weight ``w``. Column ``j``'s Jacobian ``dF/dx`` is
-    ``sx[:, j, None] * w``, and likewise for ``y``. ``forward`` leaves
-    ``sy`` as ``None`` at ``theta = 0``, where backward does not use it.
+    ``sx[:, j, None] * w``, and likewise for ``y``. ``sy`` is ``None`` at
+    ``theta = 0``, where backward does not use it. A network's tape holds
+    the same arrays with a leading layer axis: ``x`` and ``y`` are the
+    views ``states[:-1]`` and ``states[1:]`` of one ``(L+1, n, B)`` array,
+    and ``w`` is the ``(L, n, n)`` weight stack.
     """
 
     __slots__ = ("x", "y", "sx", "sy", "w")
@@ -361,26 +375,28 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
 
 
 def solve_layer(cfg: ImplicitBlockConfig, w: np.ndarray, b: np.ndarray, x: np.ndarray):
-    """``forward`` on an ``(n, B)`` batch, given the effective weight ``w``: returns ``(y, tape)``."""
+    """``forward`` on an ``(n, B)`` batch, given the effective weight ``w``.
+
+    Returns ``(y, F(x), F(y))``; ``F(y)`` is ``None`` at ``theta = 0``,
+    where backward never reads it. The tape's slopes are
+    ``act.deriv_from_value`` of the two values.
+    """
     act = cfg.activation
     theta, h = cfg.theta, cfg.h
 
     fx = act.apply(_affine(w, b, x))
-    sx = act.deriv_from_value(fx)
-
     if theta == 0.0:
-        # The explicit residual step x + h F(x); backward never reads F(y) here.
-        y = x + h * fx
-        return y, TapeEntry(x, y, sx, None, w)
+        # The explicit residual step x + h F(x).
+        return x + h * fx, fx, None
     h_theta = h * theta
     try:
         # One Newton step from y = x, where the residual is -h F(x).
-        y0 = x - _newton_step(w, sx, h_theta, -h * fx)
+        y0 = x - _newton_step(w, act.deriv_from_value(fx), h_theta, -h * fx)
     except SingularMatrixError:
         y0 = x.copy()
     base = x + (h * (1.0 - theta)) * fx
     y, fy = _solve_fixed_point(act, w, b, base, h_theta, y0, "block solver")
-    return y, TapeEntry(x, y, sx, act.deriv_from_value(fy), w)
+    return y, fx, fy
 
 
 def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarray, TapeEntry]:
@@ -389,12 +405,16 @@ def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarra
     The returned ``y`` satisfies
     ``max |y - x - h(1-theta)F(x) - h theta F(y)| <= SOLVER_TOL``.
     """
-    y, tape = solve_layer(cfg, params.effective_weight(), params.b, _columns(params, x))
-    return _like(y, x), tape
+    xc = _columns(params, x)
+    w = params.effective_weight()
+    y, fx, fy = solve_layer(cfg, w, params.b, xc)
+    act = cfg.activation
+    sy = None if fy is None else act.deriv_from_value(fy)
+    return _like(y, x), TapeEntry(xc, y, act.deriv_from_value(fx), sy, w)
 
 
 def grad_buffers(cfg: ImplicitBlockConfig, depth: int, width: int):
-    """Uninitialised ``(routes, depth, n, n)`` and ``(routes, depth, n)`` rows for ``backward_rows``.
+    """Uninitialised ``(routes, depth, n, n)`` and ``(routes, depth, n)`` rows for ``grad_rows``.
 
     Route 0 is the x evaluation of F. Route 1, the y evaluation, exists only
     when it carries weight: ``theta > 0`` and not ``cfg.paper_param_grad``.
@@ -403,35 +423,47 @@ def grad_buffers(cfg: ImplicitBlockConfig, depth: int, width: int):
     return np.empty((routes, depth, width, width)), np.empty((routes, depth, width))
 
 
-def backward_rows(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray, gw, gb, i: int):
+def pull_back(cfg: ImplicitBlockConfig, w, sx, sy, g: np.ndarray, px, py) -> np.ndarray:
     """Pull the ``(n, B)`` gradient ``g`` back through one block; returns ``grad_x``.
 
-    Writes block ``i``'s unscaled parameter gradients into the buffers of
-    ``grad_buffers``: ``px @ x^T`` and the row sums of ``px`` into route 0,
-    and ``py @ y^T`` and the row sums of ``py`` into route 1 if there is
-    one. ``param_grads`` finishes them.
+    ``w``, ``sx`` and ``sy`` are the block's tape arrays. With ``v`` the
+    solution of the transposed system (``g`` itself at ``theta = 0``), it
+    writes ``px = sx * v`` into ``px`` and, unless ``py`` is ``None``,
+    ``py = sy * v`` into ``py``: the inputs of ``grad_rows``. ``px`` and
+    ``py`` may be ``sx`` and ``sy`` themselves, whose values are spent once
+    the block is done.
     """
-    w = tape.w
     theta, h = cfg.theta, cfg.h
     if theta == 0.0:
         wvec = g
     else:
         # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
-        mats = _shifted_identity(w, tape.sy, h * theta).transpose(0, 2, 1)
+        mats = _shifted_identity(w, sy, h * theta).transpose(0, 2, 1)
         wvec = numkit.solve_many(mats, g.T).T
-
-    px = tape.sx * wvec
-    np.matmul(px, tape.x.T, out=gw[0, i])
-    px.sum(axis=1, out=gb[0, i])
-    if len(gw) == 2:
-        py = tape.sy * wvec
-        np.matmul(py, tape.y.T, out=gw[1, i])
-        py.sum(axis=1, out=gb[1, i])
+    np.multiply(sx, wvec, out=px)
+    if py is not None:
+        np.multiply(sy, wvec, out=py)
     return wvec + (h * (1.0 - theta)) * (w.T @ px)
 
 
+def grad_rows(gw, gb, px, x, py, y) -> None:
+    """Write the unscaled parameter-gradient rows of ``pull_back``'s slopes.
+
+    Route 0 gets ``px @ x^T`` and the row sums of ``px``; route 1, when the
+    buffers have it, ``py @ y^T`` and the row sums of ``py``. The arrays are
+    one block's ``(n, B)`` with ``gw[:, i]`` and ``gb[:, i]`` from
+    ``grad_buffers``, or ``(L, n, B)`` stacks with the whole buffers, which
+    take one batched product per route. ``param_grads`` finishes them.
+    """
+    np.matmul(px, x.swapaxes(-1, -2), out=gw[0])
+    px.sum(axis=-1, out=gb[0])
+    if len(gw) == 2:
+        np.matmul(py, y.swapaxes(-1, -2), out=gw[1])
+        py.sum(axis=-1, out=gb[1])
+
+
 def param_grads(cfg: ImplicitBlockConfig, mode: WeightMode, gw, gb):
-    """Finish ``backward_rows``' buffers in place into ``(grad_a, grad_b)``, stacked by block.
+    """Finish ``grad_rows``' buffers in place into ``(grad_a, grad_b)``, stacked by block.
 
     Route 0 is weighted by h(1-theta) and route 1 by h theta, then they are
     summed; in skew-symmetric mode ``grad_a`` is ``grad_W - grad_W^T``.
@@ -472,7 +504,11 @@ def backward(
             f"grad_y shape {np.shape(grad_y)} does not match y {tape.y.shape}"
         )
     gw, gb = grad_buffers(cfg, 1, params.width)
-    grad_x = backward_rows(cfg, tape, g, gw, gb, 0)
+    # Fresh slope buffers: the caller's tape stays as it was.
+    px = np.empty_like(tape.sx)
+    py = np.empty_like(tape.sy) if len(gw) == 2 else None
+    grad_x = pull_back(cfg, tape.w, tape.sx, tape.sy, g, px, py)
+    grad_rows(gw[:, 0], gb[:, 0], px, tape.x, py, tape.y)
     grad_a, grad_b = param_grads(cfg, params.mode, gw, gb)
     return _like(grad_x, grad_y), grad_a[0], grad_b[0]
 

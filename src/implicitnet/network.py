@@ -50,12 +50,13 @@ class LossKind(Enum):
     BINARY_CROSS_ENTROPY = "binary_cross_entropy"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """Architecture hyperparameters; ``h = horizon / depth``.
 
     The fields are the keys of a config's ``model`` section and of a
     checkpoint's ``spec`` (see ``read_settings`` and ``write_settings``).
+    A spec cannot change once made; ``dataclasses.replace`` makes another.
     """
 
     input_dim: int
@@ -110,14 +111,26 @@ class Affine:
         return self.w @ v + self.b[:, None]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
-    """``blocks`` stacks every block's matrix and bias (see ``BlockStack``)."""
+    """``blocks`` stacks every block's matrix and bias (see ``BlockStack``).
+
+    The blocks compute with ``blocks.mode`` and a checkpoint records
+    ``spec.weight_mode``, so the two must agree. Neither can be replaced
+    afterwards; the parameter arrays are updated in place.
+    """
 
     lift: Affine
     blocks: BlockStack
     proj: Affine
     spec: ModelSpec
+
+    def __post_init__(self):
+        if self.blocks.mode is not self.spec.weight_mode:
+            raise ValueError(
+                f"blocks compute in weight mode {self.blocks.mode.value!r} "
+                f"but the spec says {self.spec.weight_mode.value!r}"
+            )
 
 
 @dataclass
@@ -218,32 +231,59 @@ def named_parameters(m: Model) -> list[tuple[str, np.ndarray]]:
 def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
     """Run the whole stack on an ``(input_dim, B)`` batch.
 
-    Returns ``(out, last_hidden, tapes)``, all with B columns.
+    Returns ``(out, last_hidden, tape)``, all with B columns. With
+    ``keep_tapes`` and at least one block, ``tape`` is the stacked
+    ``TapeEntry`` of every block (see its docstring), else ``None``.
     """
     hid = m.lift.apply(x)
-    tapes: list[ib.TapeEntry] = []
+    tape = None
     if m.blocks:
         cfg = m.spec.block_config()
-        for i, (w, b) in enumerate(zip(m.blocks.effective_weight(), m.blocks.b)):
+        ws = m.blocks.effective_weight()
+        if keep_tapes:
+            # Row i + 1 of states is block i's output. sx and sy hold F(x)
+            # and F(y) until the loop is done, then their slopes.
+            depth = len(ws)
+            states = np.empty((depth + 1,) + hid.shape)
+            states[0] = hid
+            sx = np.empty((depth,) + hid.shape)
+            sy = np.empty_like(sx) if cfg.theta > 0.0 else None
+        for i, (w, b) in enumerate(zip(ws, m.blocks.b)):
             try:
-                hid, tape = ib.solve_layer(cfg, w, b, hid)
+                hid, fx, fy = ib.solve_layer(cfg, w, b, hid)
             except SolverDivergedError as exc:
                 exc.layer = i
                 raise
             if keep_tapes:
-                tapes.append(tape)
+                states[i + 1] = hid
+                sx[i] = fx
+                if sy is not None:
+                    sy[i] = fy
+        if keep_tapes:
+            for values in (sx, sy):
+                if values is not None:
+                    cfg.activation.deriv_from_value(values, out=values)
+            tape = ib.TapeEntry(states[:-1], states[1:], sx, sy, ws)
     out = m.spec.output_activation.apply(m.proj.apply(hid))
-    return out, hid, tapes
+    return out, hid, tape
 
 
 def model_forward(m: Model, x) -> tuple[np.ndarray, list[ib.TapeEntry]]:
-    """Evaluate the model on one state ``(input_dim,)`` or a batch ``(input_dim, B)``."""
+    """Evaluate the model on one state ``(input_dim,)`` or a batch ``(input_dim, B)``.
+
+    Also returns one ``TapeEntry`` per block, whose arrays view the stacked tape.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[0] != m.spec.input_dim:
         raise DimensionMismatchError(
             f"input shape {x.shape} does not match input_dim {m.spec.input_dim}"
         )
-    out, _, tapes = _forward_arrays(m, x[:, None] if x.ndim == 1 else x)
+    out, _, tape = _forward_arrays(m, x[:, None] if x.ndim == 1 else x)
+    tapes = []
+    if tape is not None:
+        for i in range(len(m.blocks)):
+            sy = None if tape.sy is None else tape.sy[i]
+            tapes.append(ib.TapeEntry(tape.x[i], tape.y[i], tape.sx[i], sy, tape.w[i]))
     return out.reshape((m.spec.output_dim,) + x.shape[1:]), tapes
 
 
@@ -287,6 +327,54 @@ def regularizer(m: Model) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     return value, (grad[:, : a[0].size].reshape(a.shape), grad[:, a[0].size :])
 
 
+def _reversible_block(cfg: ImplicitBlockConfig, blk, i: int, y: np.ndarray, g: np.ndarray, gw, gb):
+    """Backward through block ``i`` from its output ``y`` alone; returns ``(x, grad_x)``.
+
+    Rebuilds the block's input and tape, and writes its rows into ``gw`` and
+    ``gb`` (``gw[:, i]`` and ``gb[:, i]`` of ``ib.grad_buffers``). As a call
+    of its own, it frees that tape before the next block's is built.
+    """
+    try:
+        x = ib.reconstruct_input(cfg, blk, y)
+        tape = ib.make_tape(cfg, blk, x, y)
+        # The slopes are spent once the block is done: px and py overwrite them.
+        g = ib.pull_back(cfg, tape.w, tape.sx, tape.sy, g, tape.sx, tape.sy)
+    except (SolverDivergedError, SingularMatrixError) as exc:
+        exc.layer = i
+        raise
+    ib.grad_rows(gw, gb, tape.sx, x, tape.sy, y)
+    return x, g
+
+
+def _blocks_backward(m: Model, cfg: ImplicitBlockConfig, tape, y: np.ndarray, g: np.ndarray):
+    """Pull ``g`` back through every block; returns it at the first block's input.
+
+    Also returns the ``ib.grad_buffers`` filled with every block's unscaled
+    rows. ``tape`` is ``_forward_arrays``' stacked tape, whose slopes this
+    overwrites, or ``None`` on the reversible path, which starts from the
+    last output ``y``.
+    """
+    gw, gb = ib.grad_buffers(cfg, len(m.blocks), m.spec.hidden_dim)
+    layers = range(len(m.blocks) - 1, -1, -1)
+    if tape is None:
+        # The stack of effective weights is not kept for this path: holding
+        # it through backward would raise the step's peak memory.
+        for i in layers:
+            y, g = _reversible_block(cfg, m.blocks[i], i, y, g, gw[:, i], gb[:, i])
+        return g, gw, gb
+    for i in layers:
+        sx = tape.sx[i]
+        sy = None if tape.sy is None else tape.sy[i]
+        try:
+            g = ib.pull_back(cfg, tape.w[i], sx, sy, g, sx, sy)
+        except SingularMatrixError as exc:
+            exc.layer = i
+            raise
+    # Every block at once: one batched product per route.
+    ib.grad_rows(gw, gb, tape.sx, tape.x, tape.sy, tape.y)
+    return g, gw, gb
+
+
 def _loss_and_grad_arrays(
     m: Model,
     x: np.ndarray,
@@ -302,7 +390,7 @@ def _loss_and_grad_arrays(
     block, so peak storage stays at one layer.
     """
     reversible = reversible and m.spec.theta > 0.0 and bool(m.blocks)
-    out, hid, tapes = _forward_arrays(m, x, keep_tapes=not reversible)
+    out, hid, tape = _forward_arrays(m, x, keep_tapes=not reversible)
 
     data = _data_loss(kind, out, targets)
     reg_value, reg_grads = regularizer(m)
@@ -313,39 +401,23 @@ def _loss_and_grad_arrays(
     d_out = _data_loss_grad(kind, out, targets)
     d_o = m.spec.output_activation.deriv_from_value(out) * d_out
     proj_grads = d_o @ hid.T, d_o.sum(axis=1)
-    d_hid = m.proj.w.T @ d_o
 
     block_grads = reg_grads
     if m.blocks:
-        # The loop keeps only the layer recursion; each layer writes its raw
-        # parameter gradients into row i, and the rows are finished in one go.
         cfg = m.spec.block_config()
-        gw, gb = ib.grad_buffers(cfg, len(m.blocks), m.spec.hidden_dim)
-        y = hid
-        for i in range(len(m.blocks) - 1, -1, -1):
-            if reversible:
-                # The stack of effective weights is not kept for this path:
-                # holding it through backward would raise the step's peak memory.
-                blk = m.blocks[i]
-                try:
-                    x_rec = ib.reconstruct_input(cfg, blk, y)
-                except SolverDivergedError as exc:
-                    exc.layer = i
-                    raise
-                tape = ib.make_tape(cfg, blk, x_rec, y)
-                y = x_rec
-            else:
-                tape = tapes[i]
-            try:
-                d_hid = ib.backward_rows(cfg, tape, d_hid, gw, gb, i)
-            except SingularMatrixError as exc:
-                exc.layer = i
-                raise
-        block_grads = ib.param_grads(cfg, m.blocks.mode, gw, gb)
+        # Left unnamed, the gradient at the last block's output is freed as
+        # soon as the first block backward is done with it.
+        d_hid, gw, gb = _blocks_backward(m, cfg, tape, hid, m.proj.w.T @ d_o)
+        # The tape is spent; freeing it before the rows are finished keeps
+        # it out of the step's peak memory.
+        del tape
+        block_grads = ib.param_grads(cfg, m.spec.weight_mode, gw, gb)
         # Added after the data gradient is finished, so that each row is the
         # per-block ``backward`` result plus the regularizer's, bit for bit.
         for g, rg in zip(block_grads, reg_grads):
             g += rg
+    else:
+        d_hid = m.proj.w.T @ d_o
 
     grads = [d_hid @ x.T, d_hid.sum(axis=1), *block_grads, *proj_grads]
     return total, data, grads, m.lift.w.T @ d_hid

@@ -24,12 +24,14 @@ from implicitnet.implicitblock import (
     ActivationKind,
     WeightMode,
     backward,
+    forward,
     make_tape,
     reconstruct_input,
 )
 from implicitnet.network import (
     Affine,
     LossKind,
+    Model,
     ModelSpec,
     TrainConfig,
     _data_loss_grad,
@@ -113,6 +115,45 @@ class TestModelForward:
         for i in range(7):
             out_i, _ = model_forward(m, xs[:, i])
             assert np.abs(out_b[:, i] - out_i).max() <= 1e-9
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_tapes_view_one_stack_and_equal_the_block_forward(self, theta):
+        m = init_model(small_spec(depth=3, theta=theta, weight_mode=WeightMode.SKEW_SYMMETRIC), 4)
+        x = numkit.make_rng(2).uniform(-1, 1, (2, 5))
+        _, tapes = model_forward(m, x)
+        assert len(tapes) == 3
+        # Each block's output is the next block's input, in one states array.
+        for before, after in zip(tapes, tapes[1:]):
+            assert np.shares_memory(before.y, after.x)
+        names = ["x", "y", "sx", "w"] + (["sy"] if theta > 0 else [])
+        for name in names:
+            stack = getattr(tapes[0], name).base
+            assert stack is not None and len(stack) >= 3, name
+            assert all(getattr(t, name).base is stack for t in tapes), name
+        cfg = m.spec.block_config()
+        for blk, tape in zip(m.blocks, tapes):
+            y, ref = forward(cfg, blk, tape.x)
+            assert np.array_equal(y, tape.y)
+            for name in names:
+                assert np.array_equal(getattr(tape, name), getattr(ref, name)), name
+            assert (tape.sy is None) == (ref.sy is None) == (theta == 0.0)
+
+    @pytest.mark.parametrize("theta, paper", [(0.0, False), (0.5, False), (0.5, True)])
+    def test_backward_twice_on_one_tape_gives_the_same_bytes(self, theta, paper):
+        m = init_model(small_spec(depth=2, theta=theta, paper_param_grad=paper), 6)
+        rng = numkit.make_rng(3)
+        _, tapes = model_forward(m, rng.uniform(-1, 1, (2, 4)))
+        g = rng.uniform(-1, 1, (3, 4))
+        cfg = m.spec.block_config()
+        tape = tapes[1]
+        saved = [copy.deepcopy(getattr(tape, name)) for name in tape.__slots__]
+        first = backward(cfg, m.blocks[1], tape, g)
+        second = backward(cfg, m.blocks[1], tape, g)
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
+        for name, before in zip(tape.__slots__, saved):
+            after = getattr(tape, name)
+            assert (after is None) == (before is None), name
+            assert after is None or after.tobytes() == before.tobytes(), name
 
 
 class TestRegularizer:
@@ -264,30 +305,32 @@ class TestLossAndGrad:
         assert visited == [3, 2, 1]
 
     def test_singular_backward_solve_carries_layer_index(self, monkeypatch):
-        from implicitnet import implicitblock
+        # Each of the three blocks makes one linear solve going forward (its
+        # Newton start step) and one going backward (its transposed solve),
+        # and inverting a block makes none. Backward visits layers 2, 1, 0,
+        # so the fifth solve, layer 1's transposed one, is forced to fail as
+        # a singular matrix would, on the tape path and the reversible one.
+        solve = numkit.solve_many
+        for reversible in (False, True):
+            m = init_model(ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=3, theta=0.5), 0)
+            calls = []
 
-        # Backward visits layers 2, 1, 0; its second transposed solve,
-        # layer 1's, is forced to fail as a singular matrix would.
-        m = init_model(ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=3, theta=0.5), 0)
-        pull_back = implicitblock.backward_rows
-        calls = []
+            def singular_at_fifth(mats, rhs):
+                calls.append(1)
+                if len(calls) == 5:
+                    raise SingularMatrixError("forced singular backward solve")
+                return solve(mats, rhs)
 
-        def singular_at_second(cfg, tape, g, gw, gb, i):
-            calls.append(i)
-            if len(calls) == 2:
-                raise SingularMatrixError("forced singular backward solve")
-            return pull_back(cfg, tape, g, gw, gb, i)
-
-        monkeypatch.setattr(implicitblock, "backward_rows", singular_at_second)
-        data = tiny_dataset()
-        rec = train(m, data, data, TrainConfig(0.01, 4, 1, seed=0))
-        assert calls == [2, 1]
-        failure = rec.failure
-        assert isinstance(failure.error, SingularMatrixError)
-        assert (failure.epoch, failure.batch, failure.error.layer) == (1, 1, 1)
-        assert str(failure) == (
-            "SingularMatrixError at epoch 1, batch 1, layer 1: forced singular backward solve"
-        )
+            monkeypatch.setattr(numkit, "solve_many", singular_at_fifth)
+            data = tiny_dataset()
+            rec = train(m, data, data, TrainConfig(0.01, 4, 1, seed=0, reversible=reversible))
+            assert len(calls) == 5
+            failure = rec.failure
+            assert isinstance(failure.error, SingularMatrixError)
+            assert (failure.epoch, failure.batch, failure.error.layer) == (1, 1, 1)
+            assert str(failure) == (
+                "SingularMatrixError at epoch 1, batch 1, layer 1: forced singular backward solve"
+            )
 
 
 def tiny_dataset(seed=0, n=12):
@@ -372,24 +415,25 @@ class TestTrain:
         assert isinstance(rec.failure.error, NonFiniteLossError)
 
     def test_failure_names_epoch_batch_layer_and_residual(self, monkeypatch):
-        from implicitnet import implicitblock
-
-        # Three batches of two layers and one validation pass make eight
-        # block solves per epoch; the twelfth is epoch 2, batch 2, layer 1.
-        spec = ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=2, theta=0.5)
+        # At this step size every block solve makes one linear solve (its
+        # Newton start step) and so does every backward block. Three batches
+        # of two layers forward and back, and one validation pass, make 14
+        # per epoch; the twentieth is epoch 2, batch 2, layer 1's forward.
+        spec = ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=2, theta=0.5, horizon=0.5)
         m = init_model(spec, 0)
-        solve = implicitblock.solve_layer
+        solve = numkit.solve_many
         calls = []
 
-        def failing_twelfth(cfg, w, b, x):
+        def failing_twentieth(mats, rhs):
             calls.append(1)
-            if len(calls) == 12:
+            if len(calls) == 20:
                 raise SolverDivergedError("forced", residual=1.0)
-            return solve(cfg, w, b, x)
+            return solve(mats, rhs)
 
-        monkeypatch.setattr(implicitblock, "solve_layer", failing_twelfth)
+        monkeypatch.setattr(numkit, "solve_many", failing_twentieth)
         data = tiny_dataset()
         rec = train(m, data, data, TrainConfig(0.01, 4, 3, seed=0))
+        assert len(calls) == 20
         assert len(rec.train_loss) == len(rec.val_loss) == 1
         failure = rec.failure
         assert (failure.epoch, failure.batch, failure.error.layer) == (2, 2, 1)
@@ -506,20 +550,34 @@ class TestGradcheckOp:
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
-        m = init_model(
-            small_spec(depth=2, weight_mode=WeightMode.SKEW_SYMMETRIC,
-                       output_activation=ActivationKind.SIGMOID),
-            21,
-        )
-        path = tmp_path / "model.json"
-        save_model(m, path)
-        back = load_model(path)
-        assert back.spec == m.spec
-        for (name, p1), (_, p2) in zip(named_parameters(m), named_parameters(back)):
-            np.testing.assert_array_equal(p2, p1, err_msg=name)
-        assert all(b.mode is WeightMode.SKEW_SYMMETRIC for b in back.blocks)
-        x = np.array([0.2, -0.9])
-        np.testing.assert_array_equal(model_forward(m, x)[0], model_forward(back, x)[0])
+        for mode in WeightMode:
+            m = init_model(
+                small_spec(depth=2, weight_mode=mode, output_activation=ActivationKind.SIGMOID),
+                21,
+            )
+            path = tmp_path / f"model-{mode.value}.json"
+            save_model(m, path)
+            back = load_model(path)
+            assert back.spec == m.spec
+            for (name, p1), (_, p2) in zip(named_parameters(m), named_parameters(back)):
+                np.testing.assert_array_equal(p2, p1, err_msg=name)
+            assert all(b.mode is mode for b in back.blocks)
+            x = np.array([0.2, -0.9])
+            np.testing.assert_array_equal(model_forward(m, x)[0], model_forward(back, x)[0])
+
+    def test_weight_mode_cannot_disagree_with_the_spec(self):
+        # The blocks compute in one mode and the checkpoint records the
+        # spec's: a model whose two modes differed would reload as another.
+        m = init_model(small_spec(depth=2, weight_mode=WeightMode.SKEW_SYMMETRIC), 0)
+        raw_spec = dataclasses.replace(m.spec, weight_mode=WeightMode.RAW)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.spec = raw_spec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.spec.weight_mode = WeightMode.RAW
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.blocks.mode = WeightMode.RAW
+        with pytest.raises(ValueError, match="weight mode"):
+            Model(m.lift, m.blocks, m.proj, raw_spec)
 
     @pytest.mark.parametrize("run", ["ex1_resnet", "ex1_trapezoidal", "ex2_resnet", "ex2_trapezoidal"])
     def test_bundled_checkpoints_rewrite_byte_for_byte(self, tmp_path, run):
@@ -707,3 +765,15 @@ class TestReversibleMemory:
             rev: (self.peak_kib(100, rev) - self.peak_kib(10, rev)) / 90 for rev in (False, True)
         }
         assert per_layer[True] <= 0.25 * per_layer[False], per_layer
+
+    def test_tape_path_holds_three_state_rows_per_layer_and_little_else(self):
+        # Per layer, a step must hold the block's input, F(x) and F(y) slope
+        # rows (3 x n x B), its weight, its two routes of gradient rows and
+        # its regularizer gradient row: 5.77 KiB at n = 6, B = 32, which the
+        # stacked tape measures. Keeping a TapeEntry of separate arrays per
+        # layer measured 6.45 KiB. The quarter KiB of slack is less than two
+        # array headers per layer.
+        n, batch = 6, 32
+        floor = 8 * (3 * n * batch + n * n + 2 * (n * n + n) + (n * n + n)) / 1024
+        per_layer = (self.peak_kib(100, False) - self.peak_kib(10, False)) / 90
+        assert per_layer <= floor + 0.25, (per_layer, floor)
