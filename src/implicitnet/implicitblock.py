@@ -51,16 +51,18 @@ tape always holds ``(n, B)`` arrays. Parameter gradients returned by
 ``backward`` are summed over the batch.
 
 ``forward`` and ``backward`` are thin wrappers over the array-level core
-that a network runs layer by layer. ``solve_layer`` takes the effective
-weight already built, so a network builds every block's at once from its
-``BlockStack``, and returns ``F(x)`` and ``F(y)``, whose slopes a network
-takes once for all layers. ``pull_back`` does one block's backward
-recursion and writes the pulled-back slopes ``px``/``py``; ``grad_rows``
-turns them into unscaled parameter-gradient rows, for one block's
-``(n, B)`` arrays or for ``(L, n, B)`` stacks of every block in one batched
-product; and ``param_grads`` scales, sums and skew-projects all the rows
-at once. A single block is a stack of one, so every path uses the same
-gradient formula.
+that a network runs, one loop per direction over every block. A single
+block is a stack of one, so every path uses the same formulas.
+``solve_stack`` takes the effective weights already built, so a network
+builds every block's at once from its ``BlockStack``; it writes each
+block's output, F(x) and F(y) into rows it makes up front, and takes the
+tape's slopes once for all layers. ``pull_back_stack`` runs the backward
+recursion, overwriting each block's slopes with its pulled-back ``px`` and
+``py``, then ``grad_rows`` turns them into unscaled parameter-gradient rows
+in one batched product; ``param_grads`` scales, sums and skew-projects all
+the rows at once. The reversible path rebuilds one block at a time with
+``reconstruct_input`` and ``make_tape`` and calls ``pull_back`` and
+``grad_rows`` on that block's ``(n, B)`` arrays.
 """
 
 from __future__ import annotations
@@ -96,13 +98,18 @@ class ActivationKind(Enum):
     SIGMOID = "sigmoid"
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        if self is ActivationKind.IDENTITY:
-            return np.asarray(u, dtype=float).copy()
+        """``act(u)``, written over the float array ``u``, which is returned.
+
+        Every caller passes an array it has just made and does not read
+        again, so no evaluation allocates its result.
+        """
         if self is ActivationKind.RELU:
-            return np.maximum(u, 0.0)
-        if self is ActivationKind.TANH:
-            return np.tanh(u)
-        return _sigmoid(u)
+            np.maximum(u, 0.0, out=u)
+        elif self is ActivationKind.TANH:
+            np.tanh(u, out=u)
+        elif self is ActivationKind.SIGMOID:
+            _sigmoid(u)
+        return u
 
     def deriv_from_value(self, value: np.ndarray, out=None) -> np.ndarray:
         """The derivative ``act'(u)`` at ``u``, computed from ``value = apply(u)``.
@@ -125,14 +132,13 @@ class ActivationKind(Enum):
         return out
 
 
-def _sigmoid(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
+def _sigmoid(u: np.ndarray) -> None:
+    """The logistic function, in place, without overflow on either side."""
     pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    neg = ~pos
+    eu = np.exp(u[neg])
+    u[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    u[neg] = eu / (1.0 + eu)
 
 
 class WeightMode(Enum):
@@ -198,7 +204,12 @@ class BlockStack:
 
 def _skew(a: np.ndarray, out=None) -> np.ndarray:
     """``a - a^T`` over the last two axes, for one matrix or a stack of them."""
-    return np.subtract(a, a.swapaxes(-1, -2), out=out)
+    # Subtracting the transposed view directly makes NumPy buffer a copy of
+    # it; copying it into the result first allocates nothing more.
+    if out is None:
+        out = np.empty_like(a)
+    out[...] = a.swapaxes(-1, -2)
+    return np.subtract(a, out, out=out)
 
 
 def _effective_weight(a: np.ndarray, mode: WeightMode) -> np.ndarray:
@@ -255,6 +266,11 @@ class TapeEntry:
         self.sx = sx
         self.sy = sy
         self.w = w
+
+    def block(self, i: int) -> "TapeEntry":
+        """Block ``i``'s entry of a stacked tape, viewing its arrays."""
+        sy = None if self.sy is None else self.sy[i]
+        return TapeEntry(self.x[i], self.y[i], self.sx[i], sy, self.w[i])
 
 
 def _columns(params: BlockParams, v) -> np.ndarray:
@@ -374,29 +390,69 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
     )
 
 
-def solve_layer(cfg: ImplicitBlockConfig, w: np.ndarray, b: np.ndarray, x: np.ndarray):
-    """``forward`` on an ``(n, B)`` batch, given the effective weight ``w``.
+def solve_stack(cfg: ImplicitBlockConfig, ws: np.ndarray, bs: np.ndarray, x: np.ndarray, keep_tape: bool):
+    """Run the ``(n, B)`` batch ``x`` through every block of a stack; returns ``(y, tape)``.
 
-    Returns ``(y, F(x), F(y))``; ``F(y)`` is ``None`` at ``theta = 0``,
-    where backward never reads it. The tape's slopes are
-    ``act.deriv_from_value`` of the two values.
+    ``ws`` is the ``(L, n, n)`` stack of effective weights and ``bs`` the
+    ``(L, n)`` biases; a single block is a stack of one. Each block writes
+    its output, F(x) and F(y) straight into rows made here, so an explicit
+    (``theta = 0``) layer is five NumPy calls that allocate nothing. With
+    ``keep_tape`` the rows are the stacked ``TapeEntry`` returned, whose
+    slopes are then taken in place once for all layers. Without it,
+    ``tape`` is ``None``, the states take turns in two rows, and one row
+    each holds F(x) and F(y). ``y`` owns its data either way, so holding it
+    keeps no tape or row alive. A failed solve raises
+    ``SolverDivergedError`` carrying the index of its layer.
     """
     act = cfg.activation
     theta, h = cfg.theta, cfg.h
-
-    fx = act.apply(_affine(w, b, x))
-    if theta == 0.0:
-        # The explicit residual step x + h F(x).
-        return x + h * fx, fx, None
-    h_theta = h * theta
-    try:
-        # One Newton step from y = x, where the residual is -h F(x).
-        y0 = x - _newton_step(w, act.deriv_from_value(fx), h_theta, -h * fx)
-    except SingularMatrixError:
-        y0 = x.copy()
-    base = x + (h * (1.0 - theta)) * fx
-    y, fy = _solve_fixed_point(act, w, b, base, h_theta, y0, "block solver")
-    return y, fx, fy
+    depth = len(ws)
+    biases = bs[:, :, None]
+    if keep_tape:
+        # Row i + 1 of states is block i's output.
+        states = np.empty((depth + 1,) + x.shape)
+        states[0] = x
+        fxs = np.empty((depth,) + x.shape)
+        fys = np.empty_like(fxs) if theta > 0.0 else None
+        # Every F(x) row starts as its bias, so that a layer adds W x to a
+        # row of its own shape: a broadcast add costs twice as much.
+        fxs[...] = biases
+        biases = fxs
+    else:
+        # Two allocations, not one: the last state must not pin the other row.
+        rows = (np.empty(x.shape), np.empty(x.shape))
+        states = [x] + [rows[i % 2] for i in range(depth)]
+        fxs = [np.empty(x.shape)] * depth
+        fys = [np.empty(x.shape)] * depth if theta > 0.0 else None
+    wx = np.empty(x.shape)
+    # np.dot, not matmul: it costs less per call on these small operands
+    # and rounds the same.
+    for i, (w, b, x, y, fx) in enumerate(zip(ws, biases, states[:-1], states[1:], fxs)):
+        np.dot(w, x, out=wx)
+        np.add(wx, b, out=fx)
+        act.apply(fx)
+        if fys is None:
+            # The explicit residual step x + h F(x).
+            np.multiply(fx, h, out=y)
+            y += x
+            continue
+        try:
+            try:
+                # One Newton step from y = x, where the residual is -h F(x).
+                y0 = x - _newton_step(w, act.deriv_from_value(fx), h * theta, -h * fx)
+            except SingularMatrixError:
+                y0 = x.copy()
+            base = x + (h * (1.0 - theta)) * fx
+            y[...], fys[i][...] = _solve_fixed_point(act, w, bs[i], base, h * theta, y0, "block solver")
+        except SolverDivergedError as exc:
+            exc.layer = i
+            raise
+    if not keep_tape:
+        return states[-1], None
+    for values in (fxs, fys):
+        if values is not None:
+            act.deriv_from_value(values, out=values)
+    return states[-1].copy(), TapeEntry(states[:-1], states[1:], fxs, fys, ws)
 
 
 def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarray, TapeEntry]:
@@ -407,10 +463,12 @@ def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarra
     """
     xc = _columns(params, x)
     w = params.effective_weight()
-    y, fx, fy = solve_layer(cfg, w, params.b, xc)
-    act = cfg.activation
-    sy = None if fy is None else act.deriv_from_value(fy)
-    return _like(y, x), TapeEntry(xc, y, act.deriv_from_value(fx), sy, w)
+    try:
+        y, tape = solve_stack(cfg, w[None], params.b[None], xc, True)
+    except SolverDivergedError as exc:
+        exc.layer = None  # a lone block is no network's layer
+        raise
+    return _like(y, x), tape.block(0)
 
 
 def grad_buffers(cfg: ImplicitBlockConfig, depth: int, width: int):
@@ -423,27 +481,57 @@ def grad_buffers(cfg: ImplicitBlockConfig, depth: int, width: int):
     return np.empty((routes, depth, width, width)), np.empty((routes, depth, width))
 
 
-def pull_back(cfg: ImplicitBlockConfig, w, sx, sy, g: np.ndarray, px, py) -> np.ndarray:
-    """Pull the ``(n, B)`` gradient ``g`` back through one block; returns ``grad_x``.
+def pull_back(cfg: ImplicitBlockConfig, w, sx, sy, g: np.ndarray) -> np.ndarray:
+    """Pull the ``(n, B)`` gradient ``g`` back through one implicit (``theta > 0``) block.
 
-    ``w``, ``sx`` and ``sy`` are the block's tape arrays. With ``v`` the
-    solution of the transposed system (``g`` itself at ``theta = 0``), it
-    writes ``px = sx * v`` into ``px`` and, unless ``py`` is ``None``,
-    ``py = sy * v`` into ``py``: the inputs of ``grad_rows``. ``px`` and
-    ``py`` may be ``sx`` and ``sy`` themselves, whose values are spent once
-    the block is done.
+    Returns ``grad_x``. ``w``, ``sx`` and ``sy`` are the block's tape
+    arrays. With ``v`` the solution of the transposed system, it overwrites
+    ``sx`` with ``px = sx * v`` and ``sy`` with ``py = sy * v``, the inputs
+    of ``grad_rows``: the slopes are spent once the block is done.
+    ``pull_back_stack`` runs explicit blocks itself.
     """
     theta, h = cfg.theta, cfg.h
-    if theta == 0.0:
-        wvec = g
+    # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
+    mats = _shifted_identity(w, sy, h * theta).transpose(0, 2, 1)
+    wvec = numkit.solve_many(mats, g.T).T
+    np.multiply(sx, wvec, out=sx)
+    np.multiply(sy, wvec, out=sy)
+    return wvec + (h * (1.0 - theta)) * (w.T @ sx)
+
+
+def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray):
+    """Pull ``g`` back through every block of a stacked tape, last block first.
+
+    Returns ``(grad_x, gw, gb)``: the gradient at the first block's input,
+    and ``grad_buffers`` holding every block's unscaled rows for
+    ``param_grads``. Each block's ``px`` and ``py`` (see ``pull_back``)
+    overwrite its ``sx`` and ``sy`` rows, then ``grad_rows`` takes them all
+    at once. An explicit (``theta = 0``) block is four NumPy calls,
+    ``grad_x = g + h W^T px`` with ``px = sx * g``, into one of two rows
+    that take turns. A singular solve raises ``SingularMatrixError``
+    carrying the index of its layer.
+    """
+    gw, gb = grad_buffers(cfg, len(tape.w), tape.w.shape[-1])
+    if cfg.theta == 0.0:
+        h = cfg.h
+        rows = (np.empty(g.shape), np.empty(g.shape))
+        for i, (wt, px) in enumerate(zip(tape.w.swapaxes(-1, -2)[::-1], tape.sx[::-1])):
+            o = rows[i % 2]
+            np.multiply(px, g, out=px)
+            np.dot(wt, px, out=o)
+            o *= h
+            o += g
+            g = o
     else:
-        # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
-        mats = _shifted_identity(w, sy, h * theta).transpose(0, 2, 1)
-        wvec = numkit.solve_many(mats, g.T).T
-    np.multiply(sx, wvec, out=px)
-    if py is not None:
-        np.multiply(sy, wvec, out=py)
-    return wvec + (h * (1.0 - theta)) * (w.T @ px)
+        for i in range(len(tape.w) - 1, -1, -1):
+            try:
+                g = pull_back(cfg, tape.w[i], tape.sx[i], tape.sy[i], g)
+            except SingularMatrixError as exc:
+                exc.layer = i
+                raise
+    # Every block at once: one batched product per route.
+    grad_rows(gw, gb, tape.sx, tape.x, tape.sy, tape.y)
+    return g, gw, gb
 
 
 def grad_rows(gw, gb, px, x, py, y) -> None:
@@ -503,12 +591,14 @@ def backward(
         raise DimensionMismatchError(
             f"grad_y shape {np.shape(grad_y)} does not match y {tape.y.shape}"
         )
-    gw, gb = grad_buffers(cfg, 1, params.width)
-    # Fresh slope buffers: the caller's tape stays as it was.
-    px = np.empty_like(tape.sx)
-    py = np.empty_like(tape.sy) if len(gw) == 2 else None
-    grad_x = pull_back(cfg, tape.w, tape.sx, tape.sy, g, px, py)
-    grad_rows(gw[:, 0], gb[:, 0], px, tape.x, py, tape.y)
+    # A stack of one with its own slope rows: the caller's tape stays as it was.
+    sy = None if tape.sy is None else tape.sy[None].copy()
+    stack = TapeEntry(tape.x[None], tape.y[None], tape.sx[None].copy(), sy, tape.w[None])
+    try:
+        grad_x, gw, gb = pull_back_stack(cfg, stack, g)
+    except SingularMatrixError as exc:
+        exc.layer = None  # a lone block is no network's layer
+        raise
     grad_a, grad_b = param_grads(cfg, params.mode, gw, gb)
     return _like(grad_x, grad_y), grad_a[0], grad_b[0]
 

@@ -239,31 +239,7 @@ def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
     tape = None
     if m.blocks:
         cfg = m.spec.block_config()
-        ws = m.blocks.effective_weight()
-        if keep_tapes:
-            # Row i + 1 of states is block i's output. sx and sy hold F(x)
-            # and F(y) until the loop is done, then their slopes.
-            depth = len(ws)
-            states = np.empty((depth + 1,) + hid.shape)
-            states[0] = hid
-            sx = np.empty((depth,) + hid.shape)
-            sy = np.empty_like(sx) if cfg.theta > 0.0 else None
-        for i, (w, b) in enumerate(zip(ws, m.blocks.b)):
-            try:
-                hid, fx, fy = ib.solve_layer(cfg, w, b, hid)
-            except SolverDivergedError as exc:
-                exc.layer = i
-                raise
-            if keep_tapes:
-                states[i + 1] = hid
-                sx[i] = fx
-                if sy is not None:
-                    sy[i] = fy
-        if keep_tapes:
-            for values in (sx, sy):
-                if values is not None:
-                    cfg.activation.deriv_from_value(values, out=values)
-            tape = ib.TapeEntry(states[:-1], states[1:], sx, sy, ws)
+        hid, tape = ib.solve_stack(cfg, m.blocks.effective_weight(), m.blocks.b, hid, keep_tapes)
     out = m.spec.output_activation.apply(m.proj.apply(hid))
     return out, hid, tape
 
@@ -279,11 +255,7 @@ def model_forward(m: Model, x) -> tuple[np.ndarray, list[ib.TapeEntry]]:
             f"input shape {x.shape} does not match input_dim {m.spec.input_dim}"
         )
     out, _, tape = _forward_arrays(m, x[:, None] if x.ndim == 1 else x)
-    tapes = []
-    if tape is not None:
-        for i in range(len(m.blocks)):
-            sy = None if tape.sy is None else tape.sy[i]
-            tapes.append(ib.TapeEntry(tape.x[i], tape.y[i], tape.sx[i], sy, tape.w[i]))
+    tapes = [] if tape is None else [tape.block(i) for i in range(len(m.blocks))]
     return out.reshape((m.spec.output_dim,) + x.shape[1:]), tapes
 
 
@@ -319,9 +291,12 @@ def regularizer(m: Model) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     stacked = np.concatenate((a.reshape(depth, -1), b), axis=1)
     c = m.spec.reg_coeff / depth
     diffs = stacked[1:] - stacked[:-1]
+    # Freed before the square and the gradient are made, so that at most
+    # two arrays of this size are alive at once.
+    del stacked
     value = c * float((diffs * diffs).sum())
     diffs *= 2.0 * c
-    grad = np.zeros_like(stacked)
+    grad = np.zeros((depth, diffs.shape[1]))
     grad[1:] += diffs
     grad[:-1] -= diffs
     return value, (grad[:, : a[0].size].reshape(a.shape), grad[:, a[0].size :])
@@ -338,7 +313,7 @@ def _reversible_block(cfg: ImplicitBlockConfig, blk, i: int, y: np.ndarray, g: n
         x = ib.reconstruct_input(cfg, blk, y)
         tape = ib.make_tape(cfg, blk, x, y)
         # The slopes are spent once the block is done: px and py overwrite them.
-        g = ib.pull_back(cfg, tape.w, tape.sx, tape.sy, g, tape.sx, tape.sy)
+        g = ib.pull_back(cfg, tape.w, tape.sx, tape.sy, g)
     except (SolverDivergedError, SingularMatrixError) as exc:
         exc.layer = i
         raise
@@ -346,32 +321,17 @@ def _reversible_block(cfg: ImplicitBlockConfig, blk, i: int, y: np.ndarray, g: n
     return x, g
 
 
-def _blocks_backward(m: Model, cfg: ImplicitBlockConfig, tape, y: np.ndarray, g: np.ndarray):
-    """Pull ``g`` back through every block; returns it at the first block's input.
+def _reversible_backward(m: Model, cfg: ImplicitBlockConfig, y: np.ndarray, g: np.ndarray):
+    """Pull ``g`` back through every block from the last output ``y`` alone.
 
-    Also returns the ``ib.grad_buffers`` filled with every block's unscaled
-    rows. ``tape`` is ``_forward_arrays``' stacked tape, whose slopes this
-    overwrites, or ``None`` on the reversible path, which starts from the
-    last output ``y``.
+    Returns ``(grad_x, gw, gb)`` as ``ib.pull_back_stack`` does, rebuilding
+    each block's input and tape on the way. The stack of effective weights
+    is not kept for this path: holding it through backward would raise the
+    step's peak memory.
     """
     gw, gb = ib.grad_buffers(cfg, len(m.blocks), m.spec.hidden_dim)
-    layers = range(len(m.blocks) - 1, -1, -1)
-    if tape is None:
-        # The stack of effective weights is not kept for this path: holding
-        # it through backward would raise the step's peak memory.
-        for i in layers:
-            y, g = _reversible_block(cfg, m.blocks[i], i, y, g, gw[:, i], gb[:, i])
-        return g, gw, gb
-    for i in layers:
-        sx = tape.sx[i]
-        sy = None if tape.sy is None else tape.sy[i]
-        try:
-            g = ib.pull_back(cfg, tape.w[i], sx, sy, g, sx, sy)
-        except SingularMatrixError as exc:
-            exc.layer = i
-            raise
-    # Every block at once: one batched product per route.
-    ib.grad_rows(gw, gb, tape.sx, tape.x, tape.sy, tape.y)
+    for i in range(len(m.blocks) - 1, -1, -1):
+        y, g = _reversible_block(cfg, m.blocks[i], i, y, g, gw[:, i], gb[:, i])
     return g, gw, gb
 
 
@@ -407,7 +367,10 @@ def _loss_and_grad_arrays(
         cfg = m.spec.block_config()
         # Left unnamed, the gradient at the last block's output is freed as
         # soon as the first block backward is done with it.
-        d_hid, gw, gb = _blocks_backward(m, cfg, tape, hid, m.proj.w.T @ d_o)
+        if tape is None:
+            d_hid, gw, gb = _reversible_backward(m, cfg, hid, m.proj.w.T @ d_o)
+        else:
+            d_hid, gw, gb = ib.pull_back_stack(cfg, tape, m.proj.w.T @ d_o)
         # The tape is spent; freeing it before the rows are finished keeps
         # it out of the step's peak memory.
         del tape

@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from implicitnet.implicitblock import (
     SWEEP_RATE,
     ActivationKind,
     BlockParams,
+    BlockStack,
     ImplicitBlockConfig,
     WeightMode,
     backward,
@@ -20,6 +25,7 @@ from implicitnet.implicitblock import (
     forward,
     make_tape,
     reconstruct_input,
+    solve_stack,
 )
 
 
@@ -56,6 +62,40 @@ def random_block(rng, n, mode=WeightMode.RAW, act=ActivationKind.TANH, theta=0.5
     return cfg, params
 
 
+def peak_kib(fn):
+    """tracemalloc peak of one call of ``fn``, over the memory held on entry."""
+    fn()  # fill first-call caches
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - held) / 1024
+
+
+class TestActivationApply:
+    REFERENCE = {
+        ActivationKind.IDENTITY: lambda u: u.copy(),
+        ActivationKind.RELU: lambda u: np.maximum(u, 0.0),
+        ActivationKind.TANH: np.tanh,
+        # The two branches keep exp from overflowing on either side.
+        ActivationKind.SIGMOID: lambda u: np.where(
+            u >= 0, 1.0 / (1.0 + np.exp(-np.abs(u))), np.exp(-np.abs(u)) / (1.0 + np.exp(-np.abs(u)))
+        ),
+    }
+
+    @pytest.mark.parametrize("act", list(ActivationKind))
+    def test_writes_over_its_argument(self, act):
+        u = numkit.make_rng(3).uniform(-800.0, 800.0, (4, 5))
+        u[0, :3] = [-1.5, 0.0, 2.0]
+        expected = self.REFERENCE[act](u)
+        got = act.apply(u)
+        assert got is u
+        assert np.array_equal(u, expected)
+
+
 class TestEffectiveWeight:
     def skew(self, a):
         return BlockParams(a, np.zeros(len(a)), WeightMode.SKEW_SYMMETRIC).effective_weight()
@@ -80,6 +120,15 @@ class TestEffectiveWeight:
         for _ in range(5):
             v = rng.standard_normal(n)
             assert abs(v @ w @ v) <= 1e-12 * (v @ v) * max(np.abs(w).max(), 1.0)
+
+    def test_stack_allocates_only_its_result(self):
+        # Subtracting the transposed view directly buffered a hidden copy
+        # of the whole stack, doubling the allocation.
+        rng = numkit.make_rng(5)
+        stack = BlockStack(rng.standard_normal((100, 6, 6)), np.zeros((100, 6)), WeightMode.SKEW_SYMMETRIC)
+        w = stack.effective_weight()
+        assert np.array_equal(w, stack.a - stack.a.swapaxes(1, 2))
+        assert peak_kib(stack.effective_weight) <= w.nbytes / 1024 + 1.0
 
 
 class TestBlockFn:
@@ -261,6 +310,61 @@ class TestForward:
         for i in range(6):
             yi, _ = forward(cfg, p, xb[:, i])
             assert np.abs(yb[:, i] - yi).max() <= 1e-9
+
+
+class TestSolveStack:
+    """``solve_stack`` runs every block in one loop, into a tape or into two
+    state rows that take turns."""
+
+    @staticmethod
+    def stack(depth, theta, seed=11, n=4):
+        rng = numkit.make_rng(seed)
+        cfg = ImplicitBlockConfig(theta=theta, h=0.3, activation=ActivationKind.TANH)
+        ws = rng.uniform(-0.8, 0.8, (depth, n, n))
+        bs = rng.uniform(-0.5, 0.5, (depth, n))
+        return cfg, ws, bs, rng.standard_normal((n, 5))
+
+    # Depth 3 goes back to the first state row, so both rows take a turn.
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_no_tape_forward_equals_tape_forward_bitwise(self, theta, depth):
+        cfg, ws, bs, x = self.stack(depth, theta)
+        y_tape, tape = solve_stack(cfg, ws, bs, x, True)
+        y_rows, none = solve_stack(cfg, ws, bs, x, False)
+        assert none is None
+        assert np.array_equal(y_tape, y_rows)
+        assert np.array_equal(y_tape, tape.y[-1])
+        assert (tape.sy is None) == (theta == 0.0)
+        # Each block's output is its forward on the block's own input.
+        for i in range(depth):
+            blk = BlockParams(ws[i], bs[i])
+            y, _ = forward(cfg, blk, tape.x[i])
+            assert np.array_equal(y, tape.y[i])
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_last_state_keeps_no_tape_or_row_alive(self, theta):
+        cfg, ws, bs, x = self.stack(3, theta)
+        y, tape = solve_stack(cfg, ws, bs, x, True)
+        states = weakref.ref(tape.y.base)
+        del tape
+        gc.collect()
+        assert states() is None
+        y, _ = solve_stack(cfg, ws, bs, x, False)
+        assert y.base is None
+
+    def test_failed_solve_names_its_layer_only_in_a_stack(self):
+        # Identity activation, h theta W = 1: block 1's equation is
+        # inconsistent for nonzero input, block 0's is the identity map.
+        cfg = ImplicitBlockConfig(theta=0.5, h=2.0, activation=ActivationKind.IDENTITY)
+        ws = np.array([[[0.0]], [[1.0]]])
+        bs = np.zeros((2, 1))
+        x = np.ones((1, 1))
+        with pytest.raises(SolverDivergedError) as err:
+            solve_stack(cfg, ws, bs, x, False)
+        assert err.value.layer == 1
+        with pytest.raises(SolverDivergedError) as err:
+            forward(cfg, BlockParams(ws[1], bs[1]), x)
+        assert err.value.layer is None
 
 
 class TestBackward:

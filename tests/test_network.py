@@ -207,6 +207,21 @@ class TestRegularizer:
             blk.b += db
         assert regularizer(m)[0] == pytest.approx(v0, rel=1e-9, abs=1e-12)
 
+    def test_peak_holds_two_stacked_rows(self):
+        # The stacked parameter rows, their differences, the squared
+        # differences and the gradient each take depth x (n^2 + n) floats;
+        # at most two of them may be alive at once.
+        m = init_model(small_spec(depth=100, hidden_dim=6), 0)
+        rows_kib = m.blocks.a.nbytes / 1024 + m.blocks.b.nbytes / 1024
+        tracemalloc.start()
+        try:
+            held, _ = tracemalloc.get_traced_memory()
+            regularizer(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / 1024 <= 2 * rows_kib + 1.0
+
     @pytest.mark.parametrize("coeff", [-0.1, float("nan")])
     def test_invalid_coefficient_rejected(self, coeff):
         with pytest.raises(ValueError, match="reg_coeff"):
