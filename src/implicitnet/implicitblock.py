@@ -56,13 +56,15 @@ block is a stack of one, so every path uses the same formulas.
 ``solve_stack`` takes the effective weights already built, so a network
 builds every block's at once from its ``BlockStack``; it writes each
 block's output, F(x) and F(y) into rows it makes up front, and takes the
-tape's slopes once for all layers. ``pull_back_stack`` runs the backward
-recursion, overwriting each block's slopes with its pulled-back ``px`` and
-``py``, then ``grad_rows`` turns them into unscaled parameter-gradient rows
-in one batched product; ``param_grads`` scales, sums and skew-projects all
-the rows at once. The reversible path rebuilds one block at a time with
-``reconstruct_input`` and ``make_tape`` and calls ``pull_back`` and
-``grad_rows`` on that block's ``(n, B)`` arrays.
+tape's slopes once for all layers. ``pull_back_stack`` is the one backward
+loop: it runs the recursion, overwriting each block's slopes with its
+pulled-back ``px`` and ``py``, then turns them into unscaled
+parameter-gradient rows in one batched product per route, written into
+``grad_buffers``' rows; ``param_grads`` scales, sums and skew-projects all
+the rows at once. The reversible path, ``pull_back_rebuilt``, rebuilds one
+block at a time with ``reconstruct_input`` and ``make_tape`` and runs
+``pull_back_stack`` on that block's tape as a stack of one, into the
+block's own rows.
 """
 
 from __future__ import annotations
@@ -337,7 +339,8 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
     The fixed-point sweeps start at ``z``; damped Newton goes on from the
     last sweep iterate. Returns ``(z, F(z))`` with
     ``max |z - c - alpha F(z)| <= SOLVER_TOL``, or raises
-    ``SolverDivergedError`` carrying the final residual.
+    ``SolverDivergedError`` carrying the final residual; its message also
+    gives the final iterate's max ``|z|``.
     """
     # Fixed-point sweeps. The update z_next = c + alpha F(z) makes
     # |z_next - z| exactly the residual norm of the current iterate. They
@@ -385,8 +388,12 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
         res = float(np.abs(r).max())
     if res <= SOLVER_TOL:
         return z, fz
+    # The state's scale tells a blown-up state, whose residual cannot reach
+    # an absolute tolerance in floating point, from a solve that stalled.
     raise SolverDivergedError(
-        f"{what} stalled at residual {res:.3e} (tol {SOLVER_TOL:.1e})", residual=res
+        f"{what} stalled at residual {res:.3e} (tol {SOLVER_TOL:.1e}) "
+        f"with max |z| {float(np.abs(z).max()):.3e}",
+        residual=res,
     )
 
 
@@ -472,48 +479,33 @@ def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarra
 
 
 def grad_buffers(cfg: ImplicitBlockConfig, depth: int, width: int):
-    """Uninitialised ``(routes, depth, n, n)`` and ``(routes, depth, n)`` rows for ``grad_rows``.
+    """Uninitialised ``(routes, depth, n, n)`` and ``(routes, depth, n)`` gradient rows.
 
-    Route 0 is the x evaluation of F. Route 1, the y evaluation, exists only
-    when it carries weight: ``theta > 0`` and not ``cfg.paper_param_grad``.
+    ``pull_back_stack`` writes block ``i``'s unscaled rows at ``[:, i]``,
+    and ``param_grads`` finishes them. Route 0 is the x evaluation of F.
+    Route 1, the y evaluation, exists only when it carries weight:
+    ``theta > 0`` and not ``cfg.paper_param_grad``.
     """
     routes = 2 if cfg.theta > 0.0 and not cfg.paper_param_grad else 1
     return np.empty((routes, depth, width, width)), np.empty((routes, depth, width))
 
 
-def pull_back(cfg: ImplicitBlockConfig, w, sx, sy, g: np.ndarray) -> np.ndarray:
-    """Pull the ``(n, B)`` gradient ``g`` back through one implicit (``theta > 0``) block.
-
-    Returns ``grad_x``. ``w``, ``sx`` and ``sy`` are the block's tape
-    arrays. With ``v`` the solution of the transposed system, it overwrites
-    ``sx`` with ``px = sx * v`` and ``sy`` with ``py = sy * v``, the inputs
-    of ``grad_rows``: the slopes are spent once the block is done.
-    ``pull_back_stack`` runs explicit blocks itself.
-    """
-    theta, h = cfg.theta, cfg.h
-    # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
-    mats = _shifted_identity(w, sy, h * theta).transpose(0, 2, 1)
-    wvec = numkit.solve_many(mats, g.T).T
-    np.multiply(sx, wvec, out=sx)
-    np.multiply(sy, wvec, out=sy)
-    return wvec + (h * (1.0 - theta)) * (w.T @ sx)
-
-
-def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray):
+def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray, gw, gb) -> np.ndarray:
     """Pull ``g`` back through every block of a stacked tape, last block first.
 
-    Returns ``(grad_x, gw, gb)``: the gradient at the first block's input,
-    and ``grad_buffers`` holding every block's unscaled rows for
-    ``param_grads``. Each block's ``px`` and ``py`` (see ``pull_back``)
-    overwrite its ``sx`` and ``sy`` rows, then ``grad_rows`` takes them all
-    at once. An explicit (``theta = 0``) block is four NumPy calls,
-    ``grad_x = g + h W^T px`` with ``px = sx * g``, into one of two rows
-    that take turns. A singular solve raises ``SingularMatrixError``
-    carrying the index of its layer.
+    Returns the gradient at the first block's input, and writes every
+    block's unscaled parameter-gradient rows into ``grad_buffers``' ``gw``
+    and ``gb`` for ``param_grads``. With ``v`` solving the transposed
+    system ``(I - h theta diag(sy) W)^T v = g`` (``v = g`` at
+    ``theta = 0``), ``px = sx * v`` and ``py = sy * v`` overwrite the
+    spent slope rows; an explicit block is four NumPy calls,
+    ``grad_x = g + h W^T px``, into one of two rows that take turns. The
+    rows are then ``px @ x^T`` and ``py @ y^T`` with the row sums of
+    ``px`` and ``py``, one batched product per route. A singular solve
+    raises ``SingularMatrixError`` carrying its layer's index in the stack.
     """
-    gw, gb = grad_buffers(cfg, len(tape.w), tape.w.shape[-1])
-    if cfg.theta == 0.0:
-        h = cfg.h
+    theta, h = cfg.theta, cfg.h
+    if theta == 0.0:
         rows = (np.empty(g.shape), np.empty(g.shape))
         for i, (wt, px) in enumerate(zip(tape.w.swapaxes(-1, -2)[::-1], tape.sx[::-1])):
             o = rows[i % 2]
@@ -524,34 +516,60 @@ def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray):
             g = o
     else:
         for i in range(len(tape.w) - 1, -1, -1):
+            w, sx, sy = tape.w[i], tape.sx[i], tape.sy[i]
+            # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
+            mats = _shifted_identity(w, sy, h * theta).transpose(0, 2, 1)
             try:
-                g = pull_back(cfg, tape.w[i], tape.sx[i], tape.sy[i], g)
+                v = numkit.solve_many(mats, g.T).T
             except SingularMatrixError as exc:
                 exc.layer = i
                 raise
-    # Every block at once: one batched product per route.
-    grad_rows(gw, gb, tape.sx, tape.x, tape.sy, tape.y)
-    return g, gw, gb
-
-
-def grad_rows(gw, gb, px, x, py, y) -> None:
-    """Write the unscaled parameter-gradient rows of ``pull_back``'s slopes.
-
-    Route 0 gets ``px @ x^T`` and the row sums of ``px``; route 1, when the
-    buffers have it, ``py @ y^T`` and the row sums of ``py``. The arrays are
-    one block's ``(n, B)`` with ``gw[:, i]`` and ``gb[:, i]`` from
-    ``grad_buffers``, or ``(L, n, B)`` stacks with the whole buffers, which
-    take one batched product per route. ``param_grads`` finishes them.
-    """
-    np.matmul(px, x.swapaxes(-1, -2), out=gw[0])
-    px.sum(axis=-1, out=gb[0])
+            np.multiply(sx, v, out=sx)
+            np.multiply(sy, v, out=sy)
+            g = v + (h * (1.0 - theta)) * (w.T @ sx)
+            # Left bound, this block's Newton matrices would stay alive
+            # through the next block's solve and raise the peak memory.
+            del mats, v
+    np.matmul(tape.sx, tape.x.swapaxes(-1, -2), out=gw[0])
+    tape.sx.sum(axis=-1, out=gb[0])
     if len(gw) == 2:
-        np.matmul(py, y.swapaxes(-1, -2), out=gw[1])
-        py.sum(axis=-1, out=gb[1])
+        np.matmul(tape.sy, tape.y.swapaxes(-1, -2), out=gw[1])
+        tape.sy.sum(axis=-1, out=gb[1])
+    return g
+
+
+def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g, gw, gb) -> np.ndarray:
+    """Pull ``g`` back through every block from the last block's output ``y`` alone.
+
+    The tape-free backward: going down, each block's input is rebuilt with
+    ``reconstruct_input`` and its tape with ``make_tape``, and
+    ``pull_back_stack`` runs on that tape as a stack of one, into row ``i``
+    of ``gw`` and ``gb``. One block's tape is alive at a time, and the stack
+    of effective weights is not kept: holding it through backward would
+    raise the step's peak memory. Returns the gradient at the first block's
+    input. A failed reconstruction or singular solve carries the index of
+    its layer.
+    """
+    for i in range(len(blocks) - 1, -1, -1):
+        blk = blocks[i]
+        try:
+            x = reconstruct_input(cfg, blk, y)
+            tape = make_tape(cfg, blk, x, y)
+            g = pull_back_stack(
+                cfg, TapeEntry(x[None], y[None], tape.sx[None], tape.sy[None], tape.w[None]),
+                g, gw[:, i : i + 1], gb[:, i : i + 1],
+            )
+        except (SolverDivergedError, SingularMatrixError) as exc:
+            exc.layer = i
+            raise
+        # Freed before the next block's tape is built.
+        del tape
+        y = x
+    return g
 
 
 def param_grads(cfg: ImplicitBlockConfig, mode: WeightMode, gw, gb):
-    """Finish ``grad_rows``' buffers in place into ``(grad_a, grad_b)``, stacked by block.
+    """Finish ``pull_back_stack``'s rows in place into ``(grad_a, grad_b)``, stacked by block.
 
     Route 0 is weighted by h(1-theta) and route 1 by h theta, then they are
     summed; in skew-symmetric mode ``grad_a`` is ``grad_W - grad_W^T``.
@@ -594,8 +612,9 @@ def backward(
     # A stack of one with its own slope rows: the caller's tape stays as it was.
     sy = None if tape.sy is None else tape.sy[None].copy()
     stack = TapeEntry(tape.x[None], tape.y[None], tape.sx[None].copy(), sy, tape.w[None])
+    gw, gb = grad_buffers(cfg, 1, g.shape[0])
     try:
-        grad_x, gw, gb = pull_back_stack(cfg, stack, g)
+        grad_x = pull_back_stack(cfg, stack, g, gw, gb)
     except SingularMatrixError as exc:
         exc.layer = None  # a lone block is no network's layer
         raise

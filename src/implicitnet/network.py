@@ -43,6 +43,8 @@ CHECKPOINT_VERSION = 1
 
 # Probability clamp for the cross-entropy loss.
 P_EPS = 1e-12
+# Central-difference step of ``gradcheck``.
+FD_STEP = 1e-6
 
 
 class LossKind(Enum):
@@ -302,39 +304,6 @@ def regularizer(m: Model) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     return value, (grad[:, : a[0].size].reshape(a.shape), grad[:, a[0].size :])
 
 
-def _reversible_block(cfg: ImplicitBlockConfig, blk, i: int, y: np.ndarray, g: np.ndarray, gw, gb):
-    """Backward through block ``i`` from its output ``y`` alone; returns ``(x, grad_x)``.
-
-    Rebuilds the block's input and tape, and writes its rows into ``gw`` and
-    ``gb`` (``gw[:, i]`` and ``gb[:, i]`` of ``ib.grad_buffers``). As a call
-    of its own, it frees that tape before the next block's is built.
-    """
-    try:
-        x = ib.reconstruct_input(cfg, blk, y)
-        tape = ib.make_tape(cfg, blk, x, y)
-        # The slopes are spent once the block is done: px and py overwrite them.
-        g = ib.pull_back(cfg, tape.w, tape.sx, tape.sy, g)
-    except (SolverDivergedError, SingularMatrixError) as exc:
-        exc.layer = i
-        raise
-    ib.grad_rows(gw, gb, tape.sx, x, tape.sy, y)
-    return x, g
-
-
-def _reversible_backward(m: Model, cfg: ImplicitBlockConfig, y: np.ndarray, g: np.ndarray):
-    """Pull ``g`` back through every block from the last output ``y`` alone.
-
-    Returns ``(grad_x, gw, gb)`` as ``ib.pull_back_stack`` does, rebuilding
-    each block's input and tape on the way. The stack of effective weights
-    is not kept for this path: holding it through backward would raise the
-    step's peak memory.
-    """
-    gw, gb = ib.grad_buffers(cfg, len(m.blocks), m.spec.hidden_dim)
-    for i in range(len(m.blocks) - 1, -1, -1):
-        y, g = _reversible_block(cfg, m.blocks[i], i, y, g, gw[:, i], gb[:, i])
-    return g, gw, gb
-
-
 def _loss_and_grad_arrays(
     m: Model,
     x: np.ndarray,
@@ -365,12 +334,13 @@ def _loss_and_grad_arrays(
     block_grads = reg_grads
     if m.blocks:
         cfg = m.spec.block_config()
+        gw, gb = ib.grad_buffers(cfg, len(m.blocks), m.spec.hidden_dim)
         # Left unnamed, the gradient at the last block's output is freed as
         # soon as the first block backward is done with it.
         if tape is None:
-            d_hid, gw, gb = _reversible_backward(m, cfg, hid, m.proj.w.T @ d_o)
+            d_hid = ib.pull_back_rebuilt(cfg, m.blocks, hid, m.proj.w.T @ d_o, gw, gb)
         else:
-            d_hid, gw, gb = ib.pull_back_stack(cfg, tape, m.proj.w.T @ d_o)
+            d_hid = ib.pull_back_stack(cfg, tape, m.proj.w.T @ d_o, gw, gb)
         # The tape is spent; freeing it before the rows are finished keeps
         # it out of the step's peak memory.
         del tape
@@ -480,30 +450,26 @@ class GradCheckReport:
         return sorted(bad, key=lambda item: -item[1])
 
 
-def _loss_only(m: Model, x: np.ndarray, targets: np.ndarray, kind: LossKind) -> float:
+def _loss_only(m: Model, x: np.ndarray, targets: np.ndarray) -> float:
     out, _, _ = _forward_arrays(m, x, keep_tapes=False)
     value, _ = regularizer(m)
-    return _data_loss(kind, out, targets) + value
+    return _data_loss(LossKind.SQUARED_ERROR, out, targets) + value
 
 
-def gradcheck(
-    m: Model,
-    sample,
-    tol: float = 1e-5,
-    loss: LossKind = LossKind.SQUARED_ERROR,
-    fd_step: float = 1e-6,
-) -> GradCheckReport:
+def gradcheck(m: Model, sample, tol: float = 1e-5) -> GradCheckReport:
     """Central finite differences over every parameter and the input.
 
-    Relative error uses denominator ``1 + |numeric value|``. The report
-    names the worst coordinate, e.g. ``blocks[3].a[2,1]``.
+    The objective is the squared-error loss plus the regularizer, and each
+    coordinate moves by ``FD_STEP`` either way. Relative error uses
+    denominator ``1 + |numeric value|``. The report names the worst
+    coordinate, e.g. ``blocks[3].a[2,1]``.
     """
     x_vec = np.asarray(sample[0], dtype=float)
     t_vec = np.asarray(sample[1], dtype=float)
     x = x_vec[:, None].copy()
     t = t_vec[:, None]
 
-    _, _, grads, input_grad = _loss_and_grad_arrays(m, x, t, loss)
+    _, _, grads, input_grad = _loss_and_grad_arrays(m, x, t, LossKind.SQUARED_ERROR)
 
     # ``grads`` follows ``named_parameters``; the blocks are reported one by one.
     groups = [("lift.w", m.lift.w, grads[0]), ("lift.b", m.lift.b, grads[1])]
@@ -522,12 +488,12 @@ def gradcheck(
         for _ in it:
             idx = it.multi_index
             saved = arr[idx]
-            arr[idx] = saved + fd_step
-            up = _loss_only(m, x, t, loss)
-            arr[idx] = saved - fd_step
-            down = _loss_only(m, x, t, loss)
+            arr[idx] = saved + FD_STEP
+            up = _loss_only(m, x, t)
+            arr[idx] = saved - FD_STEP
+            down = _loss_only(m, x, t)
             arr[idx] = saved
-            numeric = (up - down) / (2.0 * fd_step)
+            numeric = (up - down) / (2.0 * FD_STEP)
             rel = abs(float(np.asarray(analytic)[idx]) - numeric) / (1.0 + abs(numeric))
             checked += 1
             coord = f"{name}[{','.join(map(str, idx))}]"

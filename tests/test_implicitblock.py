@@ -19,11 +19,14 @@ from implicitnet.implicitblock import (
     BlockParams,
     BlockStack,
     ImplicitBlockConfig,
+    TapeEntry,
     WeightMode,
     backward,
     block_fn,
     forward,
+    grad_buffers,
     make_tape,
+    pull_back_stack,
     reconstruct_input,
     solve_stack,
 )
@@ -365,6 +368,65 @@ class TestSolveStack:
         with pytest.raises(SolverDivergedError) as err:
             forward(cfg, BlockParams(ws[1], bs[1]), x)
         assert err.value.layer is None
+
+
+class TestPullBackStack:
+    """``pull_back_stack`` is the one backward loop; the reversible path runs
+    it on stacks of one, block by block, into each block's own rows."""
+
+    @staticmethod
+    def stack(depth, theta, mode=WeightMode.SKEW_SYMMETRIC, paper=False, n=4, batch=5, h=0.3):
+        rng = numkit.make_rng(13)
+        cfg = ImplicitBlockConfig(theta=theta, h=h, activation=ActivationKind.TANH, paper_param_grad=paper)
+        blocks = BlockStack(rng.uniform(-0.8, 0.8, (depth, n, n)), rng.uniform(-0.5, 0.5, (depth, n)), mode)
+        x, g = rng.standard_normal((2, n, batch))
+        return cfg, blocks.effective_weight(), blocks.b, x, g
+
+    @pytest.mark.parametrize("mode", [WeightMode.RAW, WeightMode.SKEW_SYMMETRIC])
+    @pytest.mark.parametrize("theta, paper", [(0.0, False), (0.5, False), (0.5, True)])
+    def test_stacks_of_one_compose_to_the_whole_stack(self, theta, paper, mode):
+        depth = 3
+        cfg, ws, bs, x, g = self.stack(depth, theta, mode, paper)
+        _, whole = solve_stack(cfg, ws, bs, x, True)
+        _, parts = solve_stack(cfg, ws, bs, x, True)
+        gw, gb = grad_buffers(cfg, depth, len(x))
+        assert len(gw) == (2 if theta > 0.0 and not paper else 1)
+        grad_x = pull_back_stack(cfg, whole, g, gw, gb)
+
+        rows_w, rows_b = np.full_like(gw, np.nan), np.full_like(gb, np.nan)
+        for i in range(depth - 1, -1, -1):
+            before_w, before_b = rows_w.copy(), rows_b.copy()
+            one = parts.block(i)
+            sy = None if one.sy is None else one.sy[None]
+            one = TapeEntry(one.x[None], one.y[None], one.sx[None], sy, one.w[None])
+            g = pull_back_stack(cfg, one, g, rows_w[:, i : i + 1], rows_b[:, i : i + 1])
+            others = np.arange(depth) != i
+            assert not np.isnan(rows_w[:, i]).any() and not np.isnan(rows_b[:, i]).any()
+            assert np.array_equal(rows_w[:, others], before_w[:, others], equal_nan=True)
+            assert np.array_equal(rows_b[:, others], before_b[:, others], equal_nan=True)
+        assert np.array_equal(g, grad_x)
+        assert rows_w.tobytes() == gw.tobytes() and rows_b.tobytes() == gb.tobytes()
+
+    def test_peak_holds_one_newton_stack_at_any_depth(self):
+        # Each implicit block's transposed solve builds B Newton matrices.
+        # Left alive into the next block's solve, they would raise the peak
+        # by one such stack, B n^2 doubles, at any depth above one.
+        n, batch = 6, 32
+
+        def peak(depth):
+            cfg, ws, bs, x, g = self.stack(depth, 0.5, n=n, batch=batch, h=0.2)
+            _, tape = solve_stack(cfg, ws, bs, x, True)
+            sx, sy = tape.sx.copy(), tape.sy.copy()
+            gw, gb = grad_buffers(cfg, depth, n)
+
+            def run():
+                tape.sx[...] = sx
+                tape.sy[...] = sy
+                pull_back_stack(cfg, tape, g, gw, gb)
+
+            return peak_kib(run)
+
+        assert peak(4) - peak(1) < batch * n * n * 8 / 1024
 
 
 class TestBackward:

@@ -456,6 +456,26 @@ class TestTrain:
             "SolverDivergedError at epoch 2, batch 2, layer 1, residual 1.000e+00: forced"
         )
 
+    # ex1_trapezoidal with init seed = shuffle seed blows up in epoch 1.
+    # Seed 164's small residual reads like a near-converged solve until the
+    # message shows the state's scale, at which an absolute tolerance of
+    # 1e-10 is below float resolution.
+    @pytest.mark.parametrize("seed, batch, layer, residual, scale", [
+        (164, 8, 1, "9.835e-07", "1.644e+08"),
+        (374, 3, 0, "2.760e+12", "2.748e+12"),
+    ])
+    def test_blown_up_solve_shows_the_state_scale(self, seed, batch, layer, residual, scale):
+        spec, cfg, data_cfg, _ = load_experiment(REPO / "configs" / "ex1_trapezoidal.json")
+        train_set, val_set = build_data(data_cfg)
+        rec = train(init_model(spec, seed), train_set, val_set, dataclasses.replace(cfg, seed=seed))
+        failure = rec.failure
+        assert isinstance(failure.error, SolverDivergedError)
+        assert (failure.epoch, failure.batch, failure.error.layer) == (1, batch, layer)
+        assert f"{failure.error.residual:.3e}" == residual
+        assert str(failure.error).endswith(
+            f"stalled at residual {residual} (tol 1.0e-10) with max |z| {scale}"
+        )
+
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             TrainConfig(seed=-1)
