@@ -204,12 +204,11 @@ class BlockStack:
         return _effective_weight(self.a, self.mode)
 
 
-def _skew(a: np.ndarray, out=None) -> np.ndarray:
-    """``a - a^T`` over the last two axes, for one matrix or a stack of them."""
+def _skew(a: np.ndarray) -> np.ndarray:
+    """``a - a^T`` over the last two axes, for one matrix or a stack of them, in a new array."""
     # Subtracting the transposed view directly makes NumPy buffer a copy of
     # it; copying it into the result first allocates nothing more.
-    if out is None:
-        out = np.empty_like(a)
+    out = np.empty_like(a)
     out[...] = a.swapaxes(-1, -2)
     return np.subtract(a, out, out=out)
 
@@ -361,6 +360,8 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
         # Every sweep contracted fast but ran out of iterations: z moved
         # past the last F evaluation.
         fz = act.apply(_affine(w, b, z))
+    # Freed before Newton makes its arrays.
+    del z_next
 
     # Damped Newton on r(z) = z - c - alpha F(z), backtracking (Armijo) on
     # ||r||^2, whose slope along the Newton step is -2 ||r||^2.
@@ -569,10 +570,12 @@ def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g, gw, gb
 
 
 def param_grads(cfg: ImplicitBlockConfig, mode: WeightMode, gw, gb):
-    """Finish ``pull_back_stack``'s rows in place into ``(grad_a, grad_b)``, stacked by block.
+    """Finish ``pull_back_stack``'s rows into ``(grad_a, grad_b)``, stacked by block.
 
     Route 0 is weighted by h(1-theta) and route 1 by h theta, then they are
-    summed; in skew-symmetric mode ``grad_a`` is ``grad_W - grad_W^T``.
+    summed, in place in the rows; in skew-symmetric mode ``grad_a`` is
+    ``grad_W - grad_W^T``. Both results are new arrays that own their data,
+    so the caller can free ``gw`` and ``gb`` while it holds them.
     """
     h, theta = cfg.h, cfg.theta
     gw[0] *= h * (1.0 - theta)
@@ -582,10 +585,8 @@ def param_grads(cfg: ImplicitBlockConfig, mode: WeightMode, gw, gb):
         gb[1] *= h * theta
         gw[0] += gw[1]
         gb[0] += gb[1]
-    if mode is WeightMode.SKEW_SYMMETRIC:
-        # Route 1 is spent, so its rows take the result when there are any.
-        return _skew(gw[0], out=gw[1] if len(gw) == 2 else None), gb[0]
-    return gw[0], gb[0]
+    grad_a = _skew(gw[0]) if mode is WeightMode.SKEW_SYMMETRIC else gw[0].copy()
+    return grad_a, gb[0].copy()
 
 
 def backward(
@@ -653,5 +654,6 @@ def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.nd
     fy = act.apply(_affine(w, b, yc))
     const = yc - (h * theta) * fy
     x0 = yc - h * fy
+    del fy  # freed before the solve allocates
     x, _ = _solve_fixed_point(act, w, b, const, -(h * (1.0 - theta)), x0, "input reconstruction")
     return _like(x, y)

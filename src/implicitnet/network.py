@@ -162,12 +162,17 @@ class TrainFailure:
     """The error that stopped training, and where it was raised.
 
     ``epoch`` and ``batch`` count from 1; ``batch`` is ``None`` when the
-    validation pass failed.
+    validation pass failed. ``indices`` are the failing batch's rows of the
+    training set, in batch order (``None`` for a validation failure), and
+    ``batch_losses`` the data losses of the epoch's batches completed
+    before the failure.
     """
 
     epoch: int
     batch: int | None
     error: ImplicitNetError
+    indices: list[int] | None = None
+    batch_losses: list[float] = field(default_factory=list)
 
     def __str__(self) -> str:
         where = [f"epoch {self.epoch}"]
@@ -322,16 +327,15 @@ def _loss_and_grad_arrays(
     out, hid, tape = _forward_arrays(m, x, keep_tapes=not reversible)
 
     data = _data_loss(kind, out, targets)
-    reg_value, reg_grads = regularizer(m)
-    total = data + reg_value
-    if not np.isfinite(total):
-        raise NonFiniteLossError(f"loss is {total}")
+    # Checked before any block backward runs. The message is the one the
+    # total would give: adding the penalty leaves a non-finite loss as it is.
+    if not np.isfinite(data):
+        raise NonFiniteLossError(f"loss is {data}")
 
     d_out = _data_loss_grad(kind, out, targets)
     d_o = m.spec.output_activation.deriv_from_value(out) * d_out
     proj_grads = d_o @ hid.T, d_o.sum(axis=1)
 
-    block_grads = reg_grads
     if m.blocks:
         cfg = m.spec.block_config()
         gw, gb = ib.grad_buffers(cfg, len(m.blocks), m.spec.hidden_dim)
@@ -345,12 +349,22 @@ def _loss_and_grad_arrays(
         # it out of the step's peak memory.
         del tape
         block_grads = ib.param_grads(cfg, m.spec.weight_mode, gw, gb)
-        # Added after the data gradient is finished, so that each row is the
-        # per-block ``backward`` result plus the regularizer's, bit for bit.
-        for g, rg in zip(block_grads, reg_grads):
-            g += rg
+        # The finished gradients own their data, so the route rows go here,
+        # before the regularizer makes its arrays.
+        del gw, gb
     else:
         d_hid = m.proj.w.T @ d_o
+        block_grads = np.zeros_like(m.blocks.a), np.zeros_like(m.blocks.b)
+
+    # Run last, when no tape or route row is alive. Its gradient is added
+    # after the data gradient is finished, so that each row is the
+    # per-block ``backward`` result plus the regularizer's, bit for bit.
+    reg_value, reg_grads = regularizer(m)
+    for g, rg in zip(block_grads, reg_grads):
+        g += rg
+    total = data + reg_value
+    if not np.isfinite(total):
+        raise NonFiniteLossError(f"loss is {total}")
 
     grads = [d_hid @ x.T, d_hid.sum(axis=1), *block_grads, *proj_grads]
     return total, data, grads, m.lift.w.T @ d_hid
@@ -419,7 +433,8 @@ def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
             if not np.isfinite(val_loss):
                 raise NonFiniteLossError(f"validation loss is {val_loss}")
         except (NonFiniteLossError, SolverDivergedError, SingularMatrixError) as exc:
-            failure = TrainFailure(epoch, batch, exc)
+            indices = None if batch is None else idx.tolist()
+            failure = TrainFailure(epoch, batch, exc, indices, batch_losses)
             break
         train_hist.append(float(np.mean(batch_losses)))
         val_hist.append(float(val_loss))
