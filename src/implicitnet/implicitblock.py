@@ -58,13 +58,14 @@ builds every block's at once from its ``BlockStack``; it writes each
 block's output, F(x) and F(y) into rows it makes up front, and takes the
 tape's slopes once for all layers. ``pull_back_stack`` is the one backward
 loop: it runs the recursion, overwriting each block's slopes with its
-pulled-back ``px`` and ``py``, then turns them into unscaled
-parameter-gradient rows in one batched product per route, written into
-``grad_buffers``' rows; ``param_grads`` scales, sums and skew-projects all
-the rows at once. The reversible path, ``pull_back_rebuilt``, rebuilds one
-block at a time with ``reconstruct_input`` and ``make_tape`` and runs
-``pull_back_stack`` on that block's tape as a stack of one, into the
-block's own rows.
+pulled-back ``px`` and ``py``, and consumes the tape. Only once it has
+released the weight stack does it make the unscaled parameter-gradient
+rows it returns, one batched product per route; ``param_grads`` scales,
+sums and skew-projects all the rows at once. The reversible path,
+``pull_back_rebuilt``, rebuilds one block at a time with
+``reconstruct_input`` and ``make_tape``, runs ``pull_back_stack`` on that
+block's tape as a stack of one, and folds the block's routes into its
+finished row at once, so it returns finished gradients.
 """
 
 from __future__ import annotations
@@ -482,28 +483,33 @@ def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarra
 def grad_buffers(cfg: ImplicitBlockConfig, depth: int, width: int):
     """Uninitialised ``(routes, depth, n, n)`` and ``(routes, depth, n)`` gradient rows.
 
-    ``pull_back_stack`` writes block ``i``'s unscaled rows at ``[:, i]``,
-    and ``param_grads`` finishes them. Route 0 is the x evaluation of F.
-    Route 1, the y evaluation, exists only when it carries weight:
+    ``pull_back_stack`` makes them once its recursion is done and fills
+    block ``i``'s unscaled rows at ``[:, i]``. Route 0 is the x evaluation
+    of F. Route 1, the y evaluation, exists only when it carries weight:
     ``theta > 0`` and not ``cfg.paper_param_grad``.
     """
     routes = 2 if cfg.theta > 0.0 and not cfg.paper_param_grad else 1
     return np.empty((routes, depth, width, width)), np.empty((routes, depth, width))
 
 
-def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray, gw, gb) -> np.ndarray:
+def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray):
     """Pull ``g`` back through every block of a stacked tape, last block first.
 
-    Returns the gradient at the first block's input, and writes every
-    block's unscaled parameter-gradient rows into ``grad_buffers``' ``gw``
-    and ``gb`` for ``param_grads``. With ``v`` solving the transposed
-    system ``(I - h theta diag(sy) W)^T v = g`` (``v = g`` at
-    ``theta = 0``), ``px = sx * v`` and ``py = sy * v`` overwrite the
-    spent slope rows; an explicit block is four NumPy calls,
+    Returns ``(grad_x, gw, gb)``: the gradient at the first block's input
+    and every block's unscaled parameter-gradient rows, laid out by
+    ``grad_buffers``, for ``param_grads``. With ``v`` solving the
+    transposed system ``(I - h theta diag(sy) W)^T v = g`` (``v = g`` at
+    ``theta = 0``), ``px = sx * v`` and ``py = sy * v`` overwrite the spent
+    slope rows; an explicit block is four NumPy calls,
     ``grad_x = g + h W^T px``, into one of two rows that take turns. The
-    rows are then ``px @ x^T`` and ``py @ y^T`` with the row sums of
-    ``px`` and ``py``, one batched product per route. A singular solve
-    raises ``SingularMatrixError`` carrying its layer's index in the stack.
+    rows are then ``px @ x^T`` and ``py @ y^T`` with the row sums of ``px``
+    and ``py``, one batched product per route.
+
+    The tape is consumed: its slopes are overwritten, and ``tape.w`` is set
+    to ``None`` once the recursion is done, so that the weight stack is
+    freed before the rows are made unless the caller holds it too. A
+    singular solve raises ``SingularMatrixError`` carrying its layer's
+    index in the stack.
     """
     theta, h = cfg.theta, cfg.h
     if theta == 0.0:
@@ -531,42 +537,71 @@ def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray, gw
             # Left bound, this block's Newton matrices would stay alive
             # through the next block's solve and raise the peak memory.
             del mats, v
+    # The loops' views of the weight stack would keep it alive as long as
+    # they are bound.
+    wt = w = tape.w = None
+    depth, width = tape.sx.shape[:2]
+    gw, gb = grad_buffers(cfg, depth, width)
     np.matmul(tape.sx, tape.x.swapaxes(-1, -2), out=gw[0])
     tape.sx.sum(axis=-1, out=gb[0])
     if len(gw) == 2:
         np.matmul(tape.sy, tape.y.swapaxes(-1, -2), out=gw[1])
         tape.sy.sum(axis=-1, out=gb[1])
-    return g
+    return g, gw, gb
 
 
-def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g, gw, gb) -> np.ndarray:
+def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g):
     """Pull ``g`` back through every block from the last block's output ``y`` alone.
 
     The tape-free backward: going down, each block's input is rebuilt with
     ``reconstruct_input`` and its tape with ``make_tape``, and
-    ``pull_back_stack`` runs on that tape as a stack of one, into row ``i``
-    of ``gw`` and ``gb``. One block's tape is alive at a time, and the stack
-    of effective weights is not kept: holding it through backward would
-    raise the step's peak memory. Returns the gradient at the first block's
-    input. A failed reconstruction or singular solve carries the index of
-    its layer.
+    ``pull_back_stack`` runs on that tape as a stack of one. That block's
+    routes are folded at once into its row of one ``(L, n, n)`` and
+    ``(L, n)`` row set, as ``param_grads`` folds a whole stack, so one
+    block's tape and routes are alive at a time, next to the finished rows.
+    The stack of effective weights is not kept: holding it through backward
+    would raise the step's peak memory.
+
+    Returns ``(grad_x, grad_a, grad_b)``: the gradient at the first block's
+    input and the finished parameter gradients, stacked by block and owning
+    their data, bitwise equal to ``param_grads`` on the whole stack's rows.
+    A failed reconstruction or singular solve carries the index of its
+    layer.
     """
-    for i in range(len(blocks) - 1, -1, -1):
+    depth, width = blocks.b.shape
+    grad_w, grad_b = np.empty((depth, width, width)), np.empty((depth, width))
+    for i in range(depth - 1, -1, -1):
         blk = blocks[i]
         try:
             x = reconstruct_input(cfg, blk, y)
             tape = make_tape(cfg, blk, x, y)
-            g = pull_back_stack(
-                cfg, TapeEntry(x[None], y[None], tape.sx[None], tape.sy[None], tape.w[None]),
-                g, gw[:, i : i + 1], gb[:, i : i + 1],
+            g, gw, gb = pull_back_stack(
+                cfg, TapeEntry(x[None], y[None], tape.sx[None], tape.sy[None], tape.w[None]), g
             )
         except (SolverDivergedError, SingularMatrixError) as exc:
             exc.layer = i
             raise
+        _fold_routes(cfg, gw, gb, grad_w[i : i + 1], grad_b[i : i + 1])
         # Freed before the next block's tape is built.
-        del tape
+        del tape, gw, gb
         y = x
-    return g
+    # In skew-symmetric mode grad_a = grad_W - grad_W^T, the map that makes W from a.
+    return g, _effective_weight(grad_w, blocks.mode), grad_b
+
+
+def _fold_routes(cfg: ImplicitBlockConfig, gw, gb, out_w, out_b) -> None:
+    """Write route 0 weighted by h(1-theta) plus route 1 weighted by h theta into ``out_w``, ``out_b``.
+
+    Route 1 is scaled in its own rows. The outputs may be route 0's rows.
+    """
+    h, theta = cfg.h, cfg.theta
+    np.multiply(gw[0], h * (1.0 - theta), out=out_w)
+    np.multiply(gb[0], h * (1.0 - theta), out=out_b)
+    if len(gw) == 2:
+        gw[1] *= h * theta
+        gb[1] *= h * theta
+        out_w += gw[1]
+        out_b += gb[1]
 
 
 def param_grads(cfg: ImplicitBlockConfig, mode: WeightMode, gw, gb):
@@ -576,15 +611,9 @@ def param_grads(cfg: ImplicitBlockConfig, mode: WeightMode, gw, gb):
     summed, in place in the rows; in skew-symmetric mode ``grad_a`` is
     ``grad_W - grad_W^T``. Both results are new arrays that own their data,
     so the caller can free ``gw`` and ``gb`` while it holds them.
+    ``pull_back_rebuilt`` runs the same fold one block at a time.
     """
-    h, theta = cfg.h, cfg.theta
-    gw[0] *= h * (1.0 - theta)
-    gb[0] *= h * (1.0 - theta)
-    if len(gw) == 2:
-        gw[1] *= h * theta
-        gb[1] *= h * theta
-        gw[0] += gw[1]
-        gb[0] += gb[1]
+    _fold_routes(cfg, gw, gb, gw[0], gb[0])
     grad_a = _skew(gw[0]) if mode is WeightMode.SKEW_SYMMETRIC else gw[0].copy()
     return grad_a, gb[0].copy()
 
@@ -613,9 +642,8 @@ def backward(
     # A stack of one with its own slope rows: the caller's tape stays as it was.
     sy = None if tape.sy is None else tape.sy[None].copy()
     stack = TapeEntry(tape.x[None], tape.y[None], tape.sx[None].copy(), sy, tape.w[None])
-    gw, gb = grad_buffers(cfg, 1, g.shape[0])
     try:
-        grad_x = pull_back_stack(cfg, stack, g, gw, gb)
+        grad_x, gw, gb = pull_back_stack(cfg, stack, g)
     except SingularMatrixError as exc:
         exc.layer = None  # a lone block is no network's layer
         raise

@@ -338,20 +338,19 @@ def _loss_and_grad_arrays(
 
     if m.blocks:
         cfg = m.spec.block_config()
-        gw, gb = ib.grad_buffers(cfg, len(m.blocks), m.spec.hidden_dim)
         # Left unnamed, the gradient at the last block's output is freed as
         # soon as the first block backward is done with it.
         if tape is None:
-            d_hid = ib.pull_back_rebuilt(cfg, m.blocks, hid, m.proj.w.T @ d_o, gw, gb)
+            d_hid, *block_grads = ib.pull_back_rebuilt(cfg, m.blocks, hid, m.proj.w.T @ d_o)
         else:
-            d_hid = ib.pull_back_stack(cfg, tape, m.proj.w.T @ d_o, gw, gb)
-        # The tape is spent; freeing it before the rows are finished keeps
-        # it out of the step's peak memory.
-        del tape
-        block_grads = ib.param_grads(cfg, m.spec.weight_mode, gw, gb)
-        # The finished gradients own their data, so the route rows go here,
-        # before the regularizer makes its arrays.
-        del gw, gb
+            d_hid, gw, gb = ib.pull_back_stack(cfg, tape, m.proj.w.T @ d_o)
+            # The tape is spent; freeing it before the rows are finished
+            # keeps it out of the step's peak memory.
+            del tape
+            block_grads = ib.param_grads(cfg, m.spec.weight_mode, gw, gb)
+            # The finished gradients own their data, so the route rows go
+            # here, before the regularizer makes its arrays.
+            del gw, gb
     else:
         d_hid = m.proj.w.T @ d_o
         block_grads = np.zeros_like(m.blocks.a), np.zeros_like(m.blocks.b)

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -207,20 +206,13 @@ class TestRegularizer:
             blk.b += db
         assert regularizer(m)[0] == pytest.approx(v0, rel=1e-9, abs=1e-12)
 
-    def test_peak_holds_two_stacked_rows(self):
+    def test_peak_holds_two_stacked_rows(self, peak_kib):
         # The stacked parameter rows, their differences, the squared
         # differences and the gradient each take depth x (n^2 + n) floats;
         # at most two of them may be alive at once.
         m = init_model(small_spec(depth=100, hidden_dim=6), 0)
         rows_kib = m.blocks.a.nbytes / 1024 + m.blocks.b.nbytes / 1024
-        tracemalloc.start()
-        try:
-            held, _ = tracemalloc.get_traced_memory()
-            regularizer(m)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (peak - held) / 1024 <= 2 * rows_kib + 1.0
+        assert peak_kib(lambda: regularizer(m)) <= 2 * rows_kib + 1.0
 
     @pytest.mark.parametrize("coeff", [-0.1, float("nan")])
     def test_invalid_coefficient_rejected(self, coeff):
@@ -813,7 +805,7 @@ class TestReversibleMemory:
     far more slowly with depth than the tape path's (the paper's claim)."""
 
     @staticmethod
-    def peak_kib(depth, reversible):
+    def step_peak_kib(peak_kib, depth, reversible):
         spec = ModelSpec(
             input_dim=2, hidden_dim=6, output_dim=1, depth=depth, theta=0.5,
             activation=ActivationKind.TANH, weight_mode=WeightMode.SKEW_SYMMETRIC,
@@ -822,40 +814,39 @@ class TestReversibleMemory:
         rng = numkit.make_rng(1)
         batch = list(zip(rng.uniform(-1, 1, (32, 2)), rng.uniform(-1, 1, (32, 1))))
         cfg = TrainConfig(batch_size=32, reversible=reversible)
-        loss_and_grad(m, batch, cfg)  # fill first-call caches
-        tracemalloc.start()
-        try:
-            loss_and_grad(m, batch, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak / 1024.0
+        return peak_kib(lambda: loss_and_grad(m, batch, cfg))
 
-    def test_reversible_peak_grows_at_most_a_quarter_as_fast_per_layer(self):
-        per_layer = {
-            rev: (self.peak_kib(100, rev) - self.peak_kib(10, rev)) / 90 for rev in (False, True)
-        }
+    def per_layer_kib(self, peak_kib, reversible):
+        return (self.step_peak_kib(peak_kib, 100, reversible) - self.step_peak_kib(peak_kib, 10, reversible)) / 90
+
+    def test_reversible_peak_grows_at_most_a_quarter_as_fast_per_layer(self, peak_kib):
+        per_layer = {rev: self.per_layer_kib(peak_kib, rev) for rev in (False, True)}
         assert per_layer[True] <= 0.25 * per_layer[False], per_layer
 
-    def test_tape_path_holds_three_state_rows_per_layer_and_little_else(self):
-        # Per layer, a step must hold the block's input, F(x) and F(y) slope
-        # rows (3 x n x B), its weight and its two routes of gradient rows:
-        # 5.44 KiB at n = 6, B = 32, which the stacked tape measures. The
+    def test_tape_path_holds_three_state_rows_per_layer_and_little_else(self, peak_kib):
+        # The backward pass makes its two routes of gradient rows once the
+        # recursion has freed the weight stack, so per layer the step's peak
+        # holds the block's input, F(x) and F(y) slope rows (3 x n x B) and
+        # the two routes: 5.16 KiB at n = 6, B = 32. It measures 4.93, as the
+        # peak at depth 10 sits elsewhere. With the rows made before the
+        # recursion, next to the weight stack, it measured 5.44; keeping a
+        # TapeEntry of separate arrays per layer measured 6.45. The
         # regularizer runs once the tape and rows are freed, so its gradient
-        # row adds nothing here. Keeping a TapeEntry of separate arrays per
-        # layer measured 6.45 KiB. The quarter KiB of slack is less than two
+        # row adds nothing here. The quarter KiB of slack is less than two
         # array headers per layer.
         n, batch = 6, 32
-        floor = 8 * (3 * n * batch + n * n + 2 * (n * n + n)) / 1024
-        per_layer = (self.peak_kib(100, False) - self.peak_kib(10, False)) / 90
+        floor = 8 * (3 * n * batch + 2 * (n * n + n)) / 1024
+        per_layer = self.per_layer_kib(peak_kib, False)
         assert per_layer <= floor + 0.25, (per_layer, floor)
 
-    def test_reversible_path_holds_two_routes_of_gradient_rows_per_layer(self):
+    def test_reversible_path_holds_two_routes_of_gradient_rows_per_layer(self, peak_kib):
         # Per layer, a reversible step keeps no state, and its backward holds
-        # two routes of gradient rows: 0.66 KiB at n = 6, B = 32. It measures
-        # 0.71. With the regularizer's gradient row alive through the
-        # backward pass, as when the penalty ran first, it measured 1.005.
+        # one finished row of gradients. At depth 100 the peak sits in the
+        # regularizer, which makes its own rows next to that one; the floor
+        # is two rows, 0.66 KiB at n = 6, B = 32. It measures 0.71. With the
+        # regularizer's gradient row alive through the backward pass, as
+        # when the penalty ran first, it measured 1.005.
         n = 6
         floor = 8 * 2 * (n * n + n) / 1024
-        per_layer = (self.peak_kib(100, True) - self.peak_kib(10, True)) / 90
+        per_layer = self.per_layer_kib(peak_kib, True)
         assert per_layer <= floor + 0.25, (per_layer, floor)
