@@ -288,25 +288,25 @@ def _data_loss_grad(kind: LossKind, out: np.ndarray, targets: np.ndarray) -> np.
 def regularizer(m: Model) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Layer-smoothness penalty and its exact gradients ``(grad_a, grad_b)``.
 
-    The gradients are stacked like ``m.blocks.a`` and ``m.blocks.b``.
+    The gradients are stacked like ``m.blocks.a`` and ``m.blocks.b``, own
+    their data and are the only arrays made. The value is summed per stack,
+    so its last bit can differ from one sum over the concatenated ``w_k``.
     """
     a, b = m.blocks.a, m.blocks.b
-    depth = len(a)
-    if depth < 2 or m.spec.reg_coeff == 0.0:
+    if len(a) < 2 or m.spec.reg_coeff == 0.0:
         return 0.0, (np.zeros_like(a), np.zeros_like(b))
-    # Row k is w_k: block k's matrix entries, then its bias.
-    stacked = np.concatenate((a.reshape(depth, -1), b), axis=1)
-    c = m.spec.reg_coeff / depth
-    diffs = stacked[1:] - stacked[:-1]
-    # Freed before the square and the gradient are made, so that at most
-    # two arrays of this size are alive at once.
-    del stacked
-    value = c * float((diffs * diffs).sum())
-    diffs *= 2.0 * c
-    grad = np.zeros((depth, diffs.shape[1]))
-    grad[1:] += diffs
-    grad[:-1] -= diffs
-    return value, (grad[:, : a[0].size].reshape(a.shape), grad[:, a[0].size :])
+    c = m.spec.reg_coeff / len(a)
+    value, grads = 0.0, (np.empty_like(a), np.empty_like(b))
+    for p, g in zip((a, b), grads):
+        g[0] = 0.0
+        d = np.subtract(p[1:], p[:-1], out=g[1:])
+        value += c * float(np.vdot(d, d))
+        d *= 2.0 * c
+        # Adding zero turns a -0.0 into +0.0, as summing from zero does. The
+        # overlapping subtraction needs no copy on these contiguous rows.
+        d += 0.0
+        g[:-1] -= d
+    return value, grads
 
 
 def _loss_and_grad_arrays(
@@ -349,7 +349,7 @@ def _loss_and_grad_arrays(
             del tape
             block_grads = ib.param_grads(cfg, m.spec.weight_mode, gw, gb)
             # The finished gradients own their data, so the route rows go
-            # here, before the regularizer makes its arrays.
+            # here, before the regularizer makes its gradient.
             del gw, gb
     else:
         d_hid = m.proj.w.T @ d_o

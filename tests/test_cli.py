@@ -366,11 +366,11 @@ class TestExperimentConfigs:
         assert param_count(model, blocks_only=True) == block_params
 
 
-def run_seed_sweep(cwd, *flags):
+def run_script(name, cwd, *flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "seed_sweep.py"), *flags],
+        [sys.executable, str(REPO / "scripts" / name), *flags],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -380,7 +380,7 @@ def run_seed_sweep(cwd, *flags):
 
 
 def test_seed_sweep_runs_from_any_directory(tmp_path):
-    proc = run_seed_sweep(tmp_path, "--seeds", "1", "--epochs", "1")
+    proc = run_script("seed_sweep.py", tmp_path, "--seeds", "1", "--epochs", "1")
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout
     assert "== regression: depth 10, width 5, lr 0.01, batch 4, 1 epochs ==" in out
@@ -392,7 +392,39 @@ def test_seed_sweep_runs_from_any_directory(tmp_path):
 
 @pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--seeds", "0"), ("--seeds", "-3")])
 def test_seed_sweep_rejects_counts_below_1(tmp_path, flag, value):
-    proc = run_seed_sweep(tmp_path, flag, value)
+    proc = run_script("seed_sweep.py", tmp_path, flag, value)
     assert proc.returncode == 2
     assert f"error: {flag} must be >= 1, got {value}" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_fingerprint_repeats_and_names_every_part(tmp_path):
+    first = run_script("fingerprint.py", tmp_path)
+    assert first.returncode == 0, first.stderr
+    parts = json.loads(first.stdout)
+    runs = ["ex1_trapezoidal", "ex1_resnet", "ex2_trapezoidal", "ex2_resnet", "ex2_reversible"]
+    want = {f"train/{run}/{name}" for run in runs for name in ("history.csv", "model.json")}
+    want |= {f"loss_and_grad/{run}/{when}/{what}" for run in runs for when in ("initial", "trained") for what in ("total", "grads")}
+    want |= {
+        f"counts/{run}/{name}"
+        for run in runs
+        for name in ("solve_many.calls", "solve_many.systems", "f_evals", "reconstruct_input.calls")
+    }
+    want |= {"gradcheck/defaults", "gradcheck/--theta 0", "gradcheck/--paper-param-grad --depth 2", "gradcheck/--seed 3 --width 6 --depth 6"}
+    assert set(parts) == want
+    assert all(isinstance(v, int) for k, v in parts.items() if k.startswith("counts/"))
+    assert parts["counts/ex2_reversible/reconstruct_input.calls"] > 0
+    assert parts["counts/ex1_resnet/solve_many.calls"] == 0
+
+    # The second run agrees with the first on every part but the two
+    # altered here, and lists just those.
+    total = parts.pop("loss_and_grad/ex1_resnet/trained/total")
+    parts["gradcheck/defaults"] = "altered"
+    (tmp_path / "first.json").write_text(json.dumps(parts))
+    second = run_script("fingerprint.py", tmp_path, "--against", "first.json")
+    assert second.returncode == 1, second.stderr
+    assert second.stdout.splitlines() == [
+        f"gradcheck/defaults: altered -> {json.loads(first.stdout)['gradcheck/defaults']}",
+        f"loss_and_grad/ex1_resnet/trained/total: None -> {total}",
+        f"2 of {len(want)} parts differ",
+    ]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from implicitnet import numkit
 from implicitnet.cli import build_data, load_experiment
@@ -155,6 +156,23 @@ class TestModelForward:
             assert after is None or after.tobytes() == before.tobytes(), name
 
 
+def concatenated_regularizer(m):
+    """The penalty as one sum over the concatenated rows ``w_k``: block k's
+    matrix entries, then its bias. ``regularizer`` must give the same
+    gradient bits and the same value to a few ulps, without the copies."""
+    a, b = m.blocks.a, m.blocks.b
+    depth = len(a)
+    stacked = np.concatenate((a.reshape(depth, -1), b), axis=1)
+    c = m.spec.reg_coeff / depth
+    diffs = stacked[1:] - stacked[:-1]
+    value = c * float((diffs * diffs).sum())
+    diffs *= 2.0 * c
+    grad = np.zeros((depth, diffs.shape[1]))
+    grad[1:] += diffs
+    grad[:-1] -= diffs
+    return value, (grad[:, : a[0].size].reshape(a.shape), grad[:, a[0].size :])
+
+
 class TestRegularizer:
     def test_identical_layers_give_zero(self):
         m = init_model(small_spec(depth=3), 2)
@@ -206,13 +224,55 @@ class TestRegularizer:
             blk.b += db
         assert regularizer(m)[0] == pytest.approx(v0, rel=1e-9, abs=1e-12)
 
-    def test_peak_holds_two_stacked_rows(self, peak_kib):
-        # The stacked parameter rows, their differences, the squared
-        # differences and the gradient each take depth x (n^2 + n) floats;
-        # at most two of them may be alive at once.
+    def test_peak_holds_its_own_gradient_only(self, peak_kib):
+        # The two gradient stacks together take depth x (n^2 + n) floats,
+        # 32.81 KiB here, and nothing else of that size may be made: no
+        # concatenated copy of the rows, no separate differences and no
+        # copy of a strided slice.
         m = init_model(small_spec(depth=100, hidden_dim=6), 0)
         rows_kib = m.blocks.a.nbytes / 1024 + m.blocks.b.nbytes / 1024
-        assert peak_kib(lambda: regularizer(m)) <= 2 * rows_kib + 1.0
+        assert peak_kib(lambda: regularizer(m)) <= rows_kib + 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(1, 6),
+        st.sampled_from([1e-3, 0.1, 1.0, 7.5]),
+        st.data(),
+    )
+    def test_matches_the_concatenated_formula(self, depth, width, coeff, data):
+        m = init_model(small_spec(depth=depth, hidden_dim=width, reg_coeff=coeff), 0)
+        # Repeated entries and signed zeros come up often, so zero
+        # differences of either sign are exercised along with ordinary ones.
+        entries = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-10.0, 10.0, allow_nan=False)
+        m.blocks.a[...] = data.draw(arrays(np.float64, m.blocks.a.shape, elements=entries))
+        m.blocks.b[...] = data.draw(arrays(np.float64, m.blocks.b.shape, elements=entries))
+        want_value, want = concatenated_regularizer(m)
+        value, got = regularizer(m)
+        for g, w, p in zip(got, want, (m.blocks.a, m.blocks.b)):
+            assert g.tobytes() == w.tobytes()
+            assert g.shape == p.shape and g.flags.c_contiguous and g.flags.owndata
+        # Summed per stack, not over the concatenated rows: a few ulps apart.
+        assert abs(value - want_value) <= 8 * np.finfo(float).eps * want_value
+
+    def test_a_negative_zero_difference_keeps_the_concatenated_bits(self):
+        # Along the stack the entries go +0, -0, +0, so the differences are
+        # -0 then +0; summed from zero, as the concatenated formula does,
+        # every gradient entry is +0.
+        m = init_model(small_spec(depth=3, hidden_dim=1), 0)
+        m.blocks.a[:, 0, 0] = m.blocks.b[:, 0] = [0.0, -0.0, 0.0]
+        _, want = concatenated_regularizer(m)
+        _, got = regularizer(m)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes() == bytes(g.nbytes)
+
+    @pytest.mark.parametrize("depth,coeff", [(0, 0.1), (1, 0.1), (3, 0.0)])
+    def test_no_penalty_gives_zero_gradients(self, depth, coeff):
+        m = init_model(small_spec(depth=depth, reg_coeff=coeff), 1)
+        value, grads = regularizer(m)
+        assert value == 0.0
+        for g, p in zip(grads, (m.blocks.a, m.blocks.b)):
+            assert g.shape == p.shape and not g.any()
 
     @pytest.mark.parametrize("coeff", [-0.1, float("nan")])
     def test_invalid_coefficient_rejected(self, coeff):
@@ -817,35 +877,35 @@ class TestReversibleMemory:
         return peak_kib(lambda: loss_and_grad(m, batch, cfg))
 
     def per_layer_kib(self, peak_kib, reversible):
-        return (self.step_peak_kib(peak_kib, 100, reversible) - self.step_peak_kib(peak_kib, 10, reversible)) / 90
+        # Both depths peak in the same place on each path (see the tests
+        # below), so the difference is the growth itself. Depth 10 would
+        # peak in the forward's Newton matrix build instead.
+        return (self.step_peak_kib(peak_kib, 300, reversible) - self.step_peak_kib(peak_kib, 100, reversible)) / 200
 
     def test_reversible_peak_grows_at_most_a_quarter_as_fast_per_layer(self, peak_kib):
         per_layer = {rev: self.per_layer_kib(peak_kib, rev) for rev in (False, True)}
         assert per_layer[True] <= 0.25 * per_layer[False], per_layer
 
     def test_tape_path_holds_three_state_rows_per_layer_and_little_else(self, peak_kib):
-        # The backward pass makes its two routes of gradient rows once the
-        # recursion has freed the weight stack, so per layer the step's peak
-        # holds the block's input, F(x) and F(y) slope rows (3 x n x B) and
-        # the two routes: 5.16 KiB at n = 6, B = 32. It measures 4.93, as the
-        # peak at depth 10 sits elsewhere. With the rows made before the
-        # recursion, next to the weight stack, it measured 5.44; keeping a
-        # TapeEntry of separate arrays per layer measured 6.45. The
-        # regularizer runs once the tape and rows are freed, so its gradient
-        # row adds nothing here. The quarter KiB of slack is less than two
-        # array headers per layer.
+        # At depths 100 and 300 the tape path peaks inside pull_back_stack,
+        # once the recursion has freed the weight stack and the two routes
+        # of gradient rows are made. Per layer that peak holds the block's
+        # input, F(x) and F(y) slope rows (3 x n x B) and the two routes:
+        # 5.16 KiB at n = 6, B = 32, and it measures 5.16. The regularizer
+        # runs once the tape and rows are freed, so its gradient row adds
+        # nothing here. The quarter KiB of slack is less than two array
+        # headers per layer.
         n, batch = 6, 32
         floor = 8 * (3 * n * batch + 2 * (n * n + n)) / 1024
         per_layer = self.per_layer_kib(peak_kib, False)
         assert per_layer <= floor + 0.25, (per_layer, floor)
 
     def test_reversible_path_holds_two_routes_of_gradient_rows_per_layer(self, peak_kib):
-        # Per layer, a reversible step keeps no state, and its backward holds
-        # one finished row of gradients. At depth 100 the peak sits in the
-        # regularizer, which makes its own rows next to that one; the floor
-        # is two rows, 0.66 KiB at n = 6, B = 32. It measures 0.71. With the
-        # regularizer's gradient row alive through the backward pass, as
-        # when the penalty ran first, it measured 1.005.
+        # Per layer, a reversible step keeps no state. At depths 100 and 300
+        # it peaks as the regularizer returns: the block gradients' finished
+        # row and the regularizer's own gradient row are alive, and nothing
+        # else of that size. The floor is those two rows, 0.66 KiB at
+        # n = 6, B = 32, and it measures 0.66.
         n = 6
         floor = 8 * 2 * (n * n + n) / 1024
         per_layer = self.per_layer_kib(peak_kib, True)
