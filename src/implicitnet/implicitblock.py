@@ -26,12 +26,15 @@ Both directions solve the same kind of equation, ``z = c + alpha F(z)``:
    halving, at most 40 halvings per step). A singular Newton matrix or a
    failed line search ends the solve with ``SolverDivergedError``.
 
-The caller picks the start point: ``forward`` starts from one Newton step
-from ``y = x``, the linearized closed-form guess
-``y0 = x + h (I - theta h J_F(x))^-1 F(x)`` (``y0 = x`` if that matrix is
-singular), ``reconstruct_input`` from ``x0 = y - h F(y)``.
-At ``theta = 0`` there is nothing to solve: ``forward`` takes the explicit
-step ``y = x + h F(x)`` with a single evaluation of F.
+The caller picks the start point. ``forward`` starts a nonlinear block
+from the explicit step ``y0 = x + h F(x)``, which costs nothing more: F(x)
+is in hand. A linear (identity-activation) block starts from one Newton
+step from ``y = x``, the closed form
+``y0 = x + h (I - theta h W)^-1 F(x)`` (``y0 = x`` if that matrix is
+singular), which the sweeps then only confirm. ``reconstruct_input``
+starts from ``x0 = y - h F(y)``. At ``theta = 0`` there is nothing to
+solve: ``forward`` takes the explicit step ``y = x + h F(x)`` with a single
+evaluation of F.
 
 The backward pass is exact: one transposed linear solve against
 ``(I - h theta dF/dy)`` per layer, then dense chain-rule accumulation for
@@ -53,19 +56,21 @@ tape always holds ``(n, B)`` arrays. Parameter gradients returned by
 ``forward`` and ``backward`` are thin wrappers over the array-level core
 that a network runs, one loop per direction over every block. A single
 block is a stack of one, so every path uses the same formulas.
-``solve_stack`` takes the effective weights already built, so a network
-builds every block's at once from its ``BlockStack``; it writes each
-block's output, F(x) and F(y) into rows it makes up front, and takes the
-tape's slopes once for all layers. ``pull_back_stack`` is the one backward
-loop: it runs the recursion, overwriting each block's slopes with its
-pulled-back ``px`` and ``py``, and consumes the tape. Only once it has
-released the weight stack does it make the unscaled parameter-gradient
-rows it returns, one batched product per route; ``param_grads`` scales,
-sums and skew-projects all the rows at once. The reversible path,
-``pull_back_rebuilt``, rebuilds one block at a time with
-``reconstruct_input`` and ``make_tape``, runs ``pull_back_stack`` on that
-block's tape as a stack of one, and folds the block's routes into its
-finished row at once, so it returns finished gradients.
+``solve_stack`` takes a ``BlockStack``. With a tape it builds every
+block's effective weight at once, since the tape keeps them all, writes
+each block's output, F(x) and F(y) into rows it makes up front, and takes
+the tape's slopes once for all layers. Without a tape it makes each
+block's W only when the block runs, into one reused row, so the forward
+holds one block's weights and a few state rows at any depth.
+``pull_back_stack`` is the one backward loop: it runs the recursion,
+overwriting each block's slopes with its pulled-back ``px`` and ``py``,
+and consumes the tape. Only once it has released the weight stack does it
+make the unscaled parameter-gradient rows it returns, one batched product
+per route; ``param_grads`` scales, sums and skew-projects all the rows at
+once. The reversible path, ``pull_back_rebuilt``, rebuilds one block at a
+time with ``reconstruct_input`` and ``make_tape``, runs ``pull_back_stack``
+on that block's tape as a stack of one, and folds the block's routes into
+its finished row at once, so it returns finished gradients.
 """
 
 from __future__ import annotations
@@ -205,11 +210,15 @@ class BlockStack:
         return _effective_weight(self.a, self.mode)
 
 
-def _skew(a: np.ndarray) -> np.ndarray:
-    """``a - a^T`` over the last two axes, for one matrix or a stack of them, in a new array."""
+def _skew(a: np.ndarray, out=None) -> np.ndarray:
+    """``a - a^T`` over the last two axes, for one matrix or a stack of them.
+
+    The result goes into ``out`` when given, else into a new array.
+    """
     # Subtracting the transposed view directly makes NumPy buffer a copy of
     # it; copying it into the result first allocates nothing more.
-    out = np.empty_like(a)
+    if out is None:
+        out = np.empty_like(a)
     out[...] = a.swapaxes(-1, -2)
     return np.subtract(a, out, out=out)
 
@@ -292,7 +301,12 @@ def _like(out: np.ndarray, v) -> np.ndarray:
 
 
 def _affine(w: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return w @ v + b[:, None]
+    """``W v + b`` for an ``(n, B)`` batch ``v``, in the one array it returns."""
+    # np.dot, not matmul: it costs less per call on these small operands
+    # and rounds the same.
+    out = np.dot(w, v)
+    out += b[:, None]
+    return out
 
 
 def block_fn(params: BlockParams, act: ActivationKind, v) -> np.ndarray:
@@ -341,28 +355,41 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
     ``max |z - c - alpha F(z)| <= SOLVER_TOL``, or raises
     ``SolverDivergedError`` carrying the final residual; its message also
     gives the final iterate's max ``|z|``.
+
+    The start array is the solver's to write. The sweeps take turns between
+    it and one row of their own, and Newton keeps its iterate in it, so a
+    caller that still holds the start holds no array the solver has left.
     """
+    start = z
     # Fixed-point sweeps. The update z_next = c + alpha F(z) makes
     # |z_next - z| exactly the residual norm of the current iterate. They
     # hand over to Newton once a sweep shrinks the residual by less than
     # SWEEP_RATE; that test is also true for an infinite or NaN residual.
+    # F(z) is made fresh each sweep, because the converged one is returned.
+    z_next, diff = np.empty_like(z), np.empty_like(z)
     prev = np.inf
     for _ in range(SOLVER_MAX_ITER + 1):
         fz = act.apply(_affine(w, b, z))
-        z_next = c + alpha * fz
-        res = float(np.abs(z_next - z).max())
+        np.multiply(fz, alpha, out=z_next)
+        z_next += c
+        np.subtract(z_next, z, out=diff)
+        res = float(np.abs(diff, out=diff).max())
         if res <= SOLVER_TOL:
             return z, fz
         if not res < SWEEP_RATE * prev:
             break
         prev = res
-        z = z_next
+        z, z_next = z_next, z
     else:
         # Every sweep contracted fast but ran out of iterations: z moved
         # past the last F evaluation.
         fz = act.apply(_affine(w, b, z))
+    # Newton works in the start row, so that the sweeps' own can go.
+    if z is not start:
+        start[...] = z
+        z = start
     # Freed before Newton makes its arrays.
-    del z_next
+    del z_next, diff
 
     # Damped Newton on r(z) = z - c - alpha F(z), backtracking (Armijo) on
     # ||r||^2, whose slope along the Newton step is -2 ||r||^2.
@@ -372,7 +399,9 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
         if res <= SOLVER_TOL:
             return z, fz
         try:
-            d = _newton_step(w, act.deriv_from_value(fz), alpha, r)
+            # F(z) is not read again before the line search replaces it, so
+            # its slopes are taken over it.
+            d = _newton_step(w, act.deriv_from_value(fz, out=fz), alpha, r)
         except SingularMatrixError:
             break
         phi = float((r * r).sum())
@@ -386,7 +415,10 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
             step *= 0.5
         else:
             break
-        z, fz, r = z_try, f_try, r_try
+        z[...] = z_try
+        fz, r = f_try, r_try
+        # Freed before the next step's matrices are built.
+        del d, z_try
         res = float(np.abs(r).max())
     if res <= SOLVER_TOL:
         return z, fz
@@ -399,25 +431,43 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
     )
 
 
-def solve_stack(cfg: ImplicitBlockConfig, ws: np.ndarray, bs: np.ndarray, x: np.ndarray, keep_tape: bool):
+def _weights_in_turn(blocks: BlockStack):
+    """Every block's ``W``, each made when it is reached.
+
+    In skew-symmetric mode each is written into the same ``(n, n)`` row,
+    so it is valid until the next one is made; in raw mode each is a view
+    of ``a``.
+    """
+    if blocks.mode is not WeightMode.SKEW_SYMMETRIC:
+        return blocks.a
+    w = np.empty(blocks.a.shape[1:])
+    return (_skew(a, w) for a in blocks.a)
+
+
+def solve_stack(cfg: ImplicitBlockConfig, blocks: BlockStack, x: np.ndarray, keep_tape: bool):
     """Run the ``(n, B)`` batch ``x`` through every block of a stack; returns ``(y, tape)``.
 
-    ``ws`` is the ``(L, n, n)`` stack of effective weights and ``bs`` the
-    ``(L, n)`` biases; a single block is a stack of one. Each block writes
-    its output, F(x) and F(y) straight into rows made here, so an explicit
-    (``theta = 0``) layer is five NumPy calls that allocate nothing. With
-    ``keep_tape`` the rows are the stacked ``TapeEntry`` returned, whose
-    slopes are then taken in place once for all layers. Without it,
-    ``tape`` is ``None``, the states take turns in two rows, and one row
-    each holds F(x) and F(y). ``y`` owns its data either way, so holding it
-    keeps no tape or row alive. A failed solve raises
+    A single block is a stack of one. Each block writes its output and
+    F(x), and with ``keep_tape`` its F(y), straight into rows made here, so
+    an explicit (``theta = 0``) layer is five NumPy calls that allocate
+    nothing. With ``keep_tape`` the rows are the stacked ``TapeEntry``
+    returned, whose ``w`` is every block's effective weight, built at once,
+    and whose slopes are then taken in place once for all layers. Without
+    it, ``tape`` is ``None``, the states take turns in two rows, one row
+    holds F(x), and each block's ``W`` is made only when the block runs, so
+    the forward holds one block's weights. ``y`` owns its data either way,
+    so holding it keeps no tape or row alive. A failed solve raises
     ``SolverDivergedError`` carrying the index of its layer.
     """
     act = cfg.activation
     theta, h = cfg.theta, cfg.h
-    depth = len(ws)
-    biases = bs[:, :, None]
+    # A linear block starts from one Newton step from y = x, where the
+    # residual is -h F(x): that step is its closed form.
+    newton_start = theta > 0.0 and act is ActivationKind.IDENTITY
+    depth = len(blocks)
+    biases = blocks.b[:, :, None]
     if keep_tape:
+        ws = blocks.effective_weight()
         # Row i + 1 of states is block i's output.
         states = np.empty((depth + 1,) + x.shape)
         states[0] = x
@@ -428,34 +478,42 @@ def solve_stack(cfg: ImplicitBlockConfig, ws: np.ndarray, bs: np.ndarray, x: np.
         fxs[...] = biases
         biases = fxs
     else:
-        # Two allocations, not one: the last state must not pin the other row.
+        ws = _weights_in_turn(blocks)
+        # Two allocations, not one: the last state must not pin the other
+        # row. The input is copied into the second, so that the caller's
+        # array is not held once the first block has read it.
         rows = (np.empty(x.shape), np.empty(x.shape))
-        states = [x] + [rows[i % 2] for i in range(depth)]
+        rows[1][...] = x
+        states = [rows[(i + 1) % 2] for i in range(depth + 1)]
         fxs = [np.empty(x.shape)] * depth
-        fys = [np.empty(x.shape)] * depth if theta > 0.0 else None
-    wx = np.empty(x.shape)
-    # np.dot, not matmul: it costs less per call on these small operands
-    # and rounds the same.
     for i, (w, b, x, y, fx) in enumerate(zip(ws, biases, states[:-1], states[1:], fxs)):
-        np.dot(w, x, out=wx)
-        np.add(wx, b, out=fx)
+        # W x is made in the output row, which the block writes only later.
+        np.dot(w, x, out=y)
+        np.add(y, b, out=fx)
         act.apply(fx)
-        if fys is None:
-            # The explicit residual step x + h F(x).
+        if newton_start:
+            try:
+                np.subtract(x, _newton_step(w, act.deriv_from_value(fx), h * theta, -h * fx), out=y)
+            except SingularMatrixError:
+                y[...] = x
+        else:
+            # The explicit residual step x + h F(x): the output at theta = 0,
+            # and the start of the solve, in the output row, otherwise.
             np.multiply(fx, h, out=y)
             y += x
+        if theta == 0.0:
             continue
         try:
-            try:
-                # One Newton step from y = x, where the residual is -h F(x).
-                y0 = x - _newton_step(w, act.deriv_from_value(fx), h * theta, -h * fx)
-            except SingularMatrixError:
-                y0 = x.copy()
-            base = x + (h * (1.0 - theta)) * fx
-            y[...], fys[i][...] = _solve_fixed_point(act, w, bs[i], base, h * theta, y0, "block solver")
+            y[...], fy = _solve_fixed_point(
+                act, w, blocks.b[i], x + (h * (1.0 - theta)) * fx, h * theta, y, "block solver"
+            )
         except SolverDivergedError as exc:
             exc.layer = i
             raise
+        if keep_tape:
+            fys[i] = fy
+        # Freed before the next block's solve.
+        del fy
     if not keep_tape:
         return states[-1], None
     for values in (fxs, fys):
@@ -471,9 +529,8 @@ def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarra
     ``max |y - x - h(1-theta)F(x) - h theta F(y)| <= SOLVER_TOL``.
     """
     xc = _columns(params, x)
-    w = params.effective_weight()
     try:
-        y, tape = solve_stack(cfg, w[None], params.b[None], xc, True)
+        y, tape = solve_stack(cfg, BlockStack(params.a[None], params.b[None], params.mode), xc, True)
     except SolverDivergedError as exc:
         exc.layer = None  # a lone block is no network's layer
         raise
@@ -679,9 +736,9 @@ def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.nd
     act = cfg.activation
     theta, h = cfg.theta, cfg.h
 
-    fy = act.apply(_affine(w, b, yc))
-    const = yc - (h * theta) * fy
-    x0 = yc - h * fy
-    del fy  # freed before the solve allocates
+    # F(y), then the start x0 = y - h F(y) made over it.
+    x0 = act.apply(_affine(w, b, yc))
+    const = yc - (h * theta) * x0
+    np.subtract(yc, np.multiply(x0, h, out=x0), out=x0)
     x, _ = _solve_fixed_point(act, w, b, const, -(h * (1.0 - theta)), x0, "input reconstruction")
     return _like(x, y)

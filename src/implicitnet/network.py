@@ -242,11 +242,14 @@ def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
     ``keep_tapes`` and at least one block, ``tape`` is the stacked
     ``TapeEntry`` of every block (see its docstring), else ``None``.
     """
-    hid = m.lift.apply(x)
     tape = None
     if m.blocks:
         cfg = m.spec.block_config()
-        hid, tape = ib.solve_stack(cfg, m.blocks.effective_weight(), m.blocks.b, hid, keep_tapes)
+        # Passed unnamed, the lifted batch can be freed once the first block
+        # has read it.
+        hid, tape = ib.solve_stack(cfg, m.blocks, m.lift.apply(x), keep_tapes)
+    else:
+        hid = m.lift.apply(x)
     out = m.spec.output_activation.apply(m.proj.apply(hid))
     return out, hid, tape
 
@@ -341,7 +344,11 @@ def _loss_and_grad_arrays(
         # Left unnamed, the gradient at the last block's output is freed as
         # soon as the first block backward is done with it.
         if tape is None:
-            d_hid, *block_grads = ib.pull_back_rebuilt(cfg, m.blocks, hid, m.proj.w.T @ d_o)
+            # Handed over from a list, not a name, the top state is freed
+            # once its block is rebuilt.
+            top = [hid]
+            del hid
+            d_hid, *block_grads = ib.pull_back_rebuilt(cfg, m.blocks, top.pop(), m.proj.w.T @ d_o)
         else:
             d_hid, gw, gb = ib.pull_back_stack(cfg, tape, m.proj.w.T @ d_o)
             # The tape is spent; freeing it before the rows are finished

@@ -222,6 +222,50 @@ class TestForward:
                     - cfg.h * theta * block_fn(p, cfg.activation, y)
                 assert np.abs(r).max() <= cfg.solver_tol
 
+    @pytest.mark.parametrize("act, solves", [
+        (ActivationKind.TANH, 0),
+        (ActivationKind.RELU, 0),
+        (ActivationKind.SIGMOID, 0),
+        (ActivationKind.IDENTITY, 1),
+    ])
+    def test_nonlinear_block_starts_from_the_explicit_step(self, monkeypatch, act, solves):
+        # h theta ||W||_inf <= 0.1: every sweep shrinks the residual at least
+        # tenfold, so the sweeps converge and Newton never runs. A nonlinear
+        # block then starts from x + h F(x), which needs no linear solve; a
+        # linear block starts from one Newton step from y = x, its closed form.
+        calls = []
+        solve = numkit.solve_many
+
+        def counted(mats, rhs):
+            calls.append(len(mats))
+            return solve(mats, rhs)
+
+        monkeypatch.setattr(numkit, "solve_many", counted)
+        rng = numkit.make_rng(3)
+        cfg, p = random_block(rng, 6, WeightMode.SKEW_SYMMETRIC, act, theta=0.5, h=0.5, scale_to=0.1)
+        x = rng.standard_normal((6, 32))
+        y, _ = forward(cfg, p, x)
+        assert len(calls) == solves
+        r = y - x - 0.5 * cfg.h * (block_fn(p, act, x) + block_fn(p, act, y))
+        assert np.abs(r).max() <= cfg.solver_tol
+
+    def test_random_blocks_in_the_papers_regime_all_solve(self):
+        # theta = 0.5, skew-symmetric weights and h <= 0.6, as the bundled
+        # trapezoidal configs use, with weights up to four times Glorot's
+        # scale: every block must solve from the explicit start.
+        rng = numkit.make_rng(2026)
+        acts = [ActivationKind.TANH, ActivationKind.RELU, ActivationKind.SIGMOID]
+        for _ in range(60):
+            n, batch = int(rng.choice([5, 6])), int(rng.choice([1, 4, 32]))
+            h, act = float(rng.choice([0.2, 0.6])), acts[int(rng.integers(3))]
+            a = rng.uniform(0.5, 4.0) * numkit.glorot_uniform(rng, n, n)
+            p = BlockParams(a, rng.uniform(-0.5, 0.5, n), WeightMode.SKEW_SYMMETRIC)
+            cfg = ImplicitBlockConfig(theta=0.5, h=h, activation=act)
+            x = rng.standard_normal((n, batch))
+            y, _ = forward(cfg, p, x)
+            r = y - x - 0.5 * h * (block_fn(p, act, x) + block_fn(p, act, y))
+            assert np.abs(r).max() <= cfg.solver_tol, (n, batch, h, act)
+
     def test_linear_block_matches_closed_form(self):
         rng = numkit.make_rng(4)
         for _ in range(20):
@@ -254,9 +298,9 @@ class TestForward:
 
     def test_newton_finishes_slow_relu_sweeps(self, f_evals):
         # theta = 0.5, ReLU, skew weights and a large step: the activation
-        # pattern changes between x and y, so the linearized guess misses
+        # pattern changes between x and y, so the explicit start misses
         # and the sweeps contract at only 0.43-0.59 per sweep (checked
-        # below). Sweeping from that guess to the tolerance takes 29 F
+        # below). Sweeping from that start to the tolerance takes 30 F
         # evaluations here.
         rng = numkit.make_rng(1)
         p = BlockParams(rng.standard_normal((4, 4)), rng.uniform(-0.5, 0.5, 4), WeightMode.SKEW_SYMMETRIC)
@@ -306,53 +350,53 @@ class TestSolveStack:
     state rows that take turns."""
 
     @staticmethod
-    def stack(depth, theta, seed=11, n=4):
+    def stack(depth, theta, seed=11, n=4, mode=WeightMode.RAW):
         rng = numkit.make_rng(seed)
         cfg = ImplicitBlockConfig(theta=theta, h=0.3, activation=ActivationKind.TANH)
-        ws = rng.uniform(-0.8, 0.8, (depth, n, n))
-        bs = rng.uniform(-0.5, 0.5, (depth, n))
-        return cfg, ws, bs, rng.standard_normal((n, 5))
+        blocks = BlockStack(rng.uniform(-0.8, 0.8, (depth, n, n)), rng.uniform(-0.5, 0.5, (depth, n)), mode)
+        return cfg, blocks, rng.standard_normal((n, 5))
 
     # Depth 3 goes back to the first state row, so both rows take a turn.
+    # Without a tape, skew-symmetric weights are made one block at a time.
+    @pytest.mark.parametrize("mode", [WeightMode.RAW, WeightMode.SKEW_SYMMETRIC])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("theta", [0.0, 0.5])
-    def test_no_tape_forward_equals_tape_forward_bitwise(self, theta, depth):
-        cfg, ws, bs, x = self.stack(depth, theta)
-        y_tape, tape = solve_stack(cfg, ws, bs, x, True)
-        y_rows, none = solve_stack(cfg, ws, bs, x, False)
+    def test_no_tape_forward_equals_tape_forward_bitwise(self, theta, depth, mode):
+        cfg, blocks, x = self.stack(depth, theta, mode=mode)
+        y_tape, tape = solve_stack(cfg, blocks, x, True)
+        y_rows, none = solve_stack(cfg, blocks, x, False)
         assert none is None
         assert np.array_equal(y_tape, y_rows)
         assert np.array_equal(y_tape, tape.y[-1])
         assert (tape.sy is None) == (theta == 0.0)
+        assert np.array_equal(tape.w, blocks.effective_weight())
         # Each block's output is its forward on the block's own input.
         for i in range(depth):
-            blk = BlockParams(ws[i], bs[i])
-            y, _ = forward(cfg, blk, tape.x[i])
+            y, _ = forward(cfg, blocks[i], tape.x[i])
             assert np.array_equal(y, tape.y[i])
 
     @pytest.mark.parametrize("theta", [0.0, 0.5])
     def test_last_state_keeps_no_tape_or_row_alive(self, theta):
-        cfg, ws, bs, x = self.stack(3, theta)
-        y, tape = solve_stack(cfg, ws, bs, x, True)
+        cfg, blocks, x = self.stack(3, theta)
+        y, tape = solve_stack(cfg, blocks, x, True)
         states = weakref.ref(tape.y.base)
         del tape
         gc.collect()
         assert states() is None
-        y, _ = solve_stack(cfg, ws, bs, x, False)
+        y, _ = solve_stack(cfg, blocks, x, False)
         assert y.base is None
 
     def test_failed_solve_names_its_layer_only_in_a_stack(self):
         # Identity activation, h theta W = 1: block 1's equation is
         # inconsistent for nonzero input, block 0's is the identity map.
         cfg = ImplicitBlockConfig(theta=0.5, h=2.0, activation=ActivationKind.IDENTITY)
-        ws = np.array([[[0.0]], [[1.0]]])
-        bs = np.zeros((2, 1))
+        blocks = BlockStack(np.array([[[0.0]], [[1.0]]]), np.zeros((2, 1)))
         x = np.ones((1, 1))
         with pytest.raises(SolverDivergedError) as err:
-            solve_stack(cfg, ws, bs, x, False)
+            solve_stack(cfg, blocks, x, False)
         assert err.value.layer == 1
         with pytest.raises(SolverDivergedError) as err:
-            forward(cfg, BlockParams(ws[1], bs[1]), x)
+            forward(cfg, blocks[1], x)
         assert err.value.layer is None
 
 
@@ -366,18 +410,18 @@ class TestPullBackStack:
         cfg = ImplicitBlockConfig(theta=theta, h=h, activation=ActivationKind.TANH, paper_param_grad=paper)
         blocks = BlockStack(rng.uniform(-0.8, 0.8, (depth, n, n)), rng.uniform(-0.5, 0.5, (depth, n)), mode)
         x, g = rng.standard_normal((2, n, batch))
-        return cfg, blocks.effective_weight(), blocks.b, x, g
+        return cfg, blocks, x, g
 
     @pytest.mark.parametrize("mode", [WeightMode.RAW, WeightMode.SKEW_SYMMETRIC])
     @pytest.mark.parametrize("theta, paper", [(0.0, False), (0.5, False), (0.5, True)])
     def test_stacks_of_one_compose_to_the_whole_stack(self, theta, paper, mode):
         depth = 3
-        cfg, ws, bs, x, g = self.stack(depth, theta, mode, paper)
-        _, whole = solve_stack(cfg, ws, bs, x, True)
-        _, parts = solve_stack(cfg, ws, bs, x, True)
+        cfg, blocks, x, g = self.stack(depth, theta, mode, paper)
+        _, whole = solve_stack(cfg, blocks, x, True)
+        _, parts = solve_stack(cfg, blocks, x, True)
         grad_x, gw, gb = pull_back_stack(cfg, whole, g)
         routes = 2 if theta > 0.0 and not paper else 1
-        assert gw.shape == (routes,) + ws.shape and gb.shape == (routes,) + bs.shape
+        assert gw.shape == (routes,) + blocks.a.shape and gb.shape == (routes,) + blocks.b.shape
         assert whole.w is None  # the tape is consumed
 
         rows_w, rows_b = np.full_like(gw, np.nan), np.full_like(gb, np.nan)
@@ -387,7 +431,7 @@ class TestPullBackStack:
             one = TapeEntry(one.x[None], one.y[None], one.sx[None], sy, one.w[None])
             g, one_w, one_b = pull_back_stack(cfg, one, g)
             # A stack of one makes the rows of its own block and no others.
-            assert one_w.shape == (routes, 1) + ws.shape[1:] and one_b.shape == (routes, 1) + bs.shape[1:]
+            assert one_w.shape == (routes, 1) + blocks.a.shape[1:] and one_b.shape == (routes, 1) + blocks.b.shape[1:]
             rows_w[:, i : i + 1], rows_b[:, i : i + 1] = one_w, one_b
         assert np.array_equal(g, grad_x)
         assert rows_w.tobytes() == gw.tobytes() and rows_b.tobytes() == gb.tobytes()
@@ -397,10 +441,9 @@ class TestPullBackStack:
         # The recursion is the weight stack's last reader. Rows made before
         # it, or while a loop variable still views the stack, would sit next
         # to the whole stack at the step's peak.
-        cfg, ws, bs, x, g = self.stack(3, theta)
-        _, tape = solve_stack(cfg, ws, bs, x, True)
-        weights = weakref.ref(ws)
-        del ws
+        cfg, blocks, x, g = self.stack(3, theta)
+        _, tape = solve_stack(cfg, blocks, x, True)
+        weights = weakref.ref(tape.w)
         alive = []
         make_rows = implicitblock.grad_buffers
 
@@ -420,9 +463,9 @@ class TestPullBackStack:
         n, batch = 6, 32
 
         def peak(depth):
-            cfg, ws, bs, x, g = self.stack(depth, 0.5, n=n, batch=batch, h=0.2)
-            _, tape = solve_stack(cfg, ws, bs, x, True)
-            sx, sy = tape.sx.copy(), tape.sy.copy()
+            cfg, blocks, x, g = self.stack(depth, 0.5, n=n, batch=batch, h=0.2)
+            _, tape = solve_stack(cfg, blocks, x, True)
+            sx, sy, ws = tape.sx.copy(), tape.sy.copy(), tape.w
 
             def run():
                 tape.sx[...] = sx
@@ -446,7 +489,7 @@ class TestPullBackRebuilt:
         rng = numkit.make_rng(17)
         cfg = ImplicitBlockConfig(theta=0.5, h=0.2, activation=ActivationKind.TANH)
         blocks = BlockStack(rng.uniform(-0.3, 0.3, (depth, n, n)), rng.uniform(-0.5, 0.5, (depth, n)), mode)
-        y, _ = solve_stack(cfg, blocks.effective_weight(), blocks.b, rng.standard_normal((n, batch)), False)
+        y, _ = solve_stack(cfg, blocks, rng.standard_normal((n, batch)), False)
         g = rng.standard_normal((n, batch))
         return lambda: pull_back_rebuilt(cfg, blocks, y, g)
 
