@@ -17,8 +17,12 @@ Both directions solve the same kind of equation, ``z = c + alpha F(z)``:
 ``_solve_fixed_point``, serves both:
 
 1. fixed-point sweeps ``z <- c + alpha F(z)``, which contract at rate
-   ``|alpha| L`` for L-Lipschitz F, until one shrinks the residual by less
-   than ``SWEEP_RATE``;
+   ``|alpha| L`` for L-Lipschitz F. Tanh and sigmoid blocks sweep until one
+   shrinks the residual by less than ``SWEEP_RATE``. Identity and ReLU
+   blocks hand over after the first sweep that misses the tolerance: F is
+   then piecewise linear, so the residual is affine wherever the
+   activation pattern holds and a Newton step lands on the root once the
+   pattern is right (semismooth Newton);
 2. if they miss the tolerance, damped Newton on
    ``r(z) = z - c - alpha F(z)``: each step solves
    ``(I - alpha diag(F'(z)) W) d = r`` for every column in one stacked
@@ -26,14 +30,17 @@ Both directions solve the same kind of equation, ``z = c + alpha F(z)``:
    halving, at most 40 halvings per step). A singular Newton matrix or a
    failed line search ends the solve with ``SolverDivergedError``.
 
-The caller picks the start point. ``forward`` starts a nonlinear block
-from the explicit step ``y0 = x + h F(x)``, which costs nothing more: F(x)
-is in hand. A linear (identity-activation) block starts from one Newton
-step from ``y = x``, the closed form
-``y0 = x + h (I - theta h W)^-1 F(x)`` (``y0 = x`` if that matrix is
-singular), which the sweeps then only confirm. ``reconstruct_input``
-starts from ``x0 = y - h F(y)``. At ``theta = 0`` there is nothing to
-solve: ``forward`` takes the explicit step ``y = x + h F(x)`` with a single
+A piecewise-linear block's early Newton gets ``EARLY_NEWTON_STEPS`` steps.
+If they end above the tolerance (too few steps, a failed line search or a
+singular matrix), the solve makes its start again and runs both phases as
+a tanh block would: it solves what that rule alone solves from the
+explicit step, to the same bits.
+
+Every solve starts from the explicit step of its own direction, which
+costs nothing more: the block's F at its known state is in hand.
+``forward`` starts from ``y0 = x + h F(x)``, ``reconstruct_input`` from
+``x0 = y - h F(y)``. At ``theta = 0`` there is nothing to solve:
+``forward`` takes the explicit step ``y = x + h F(x)`` with a single
 evaluation of F.
 
 The backward pass is exact: one transposed linear solve against
@@ -91,12 +98,17 @@ SOLVER_MAX_ITER = 100
 # most step halvings tried before a step counts as failed.
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 40
-# A sweep that shrinks the residual by less than this factor hands over to
-# Newton. ReLU columns whose activation pattern changes during the solve
-# contract at about 0.3 per sweep or slower, and Newton finishes them in a
-# step or two; tanh blocks contract at about 0.1-0.2, where a sweep costs a
-# fraction of a Newton step's stacked linear solve and sweeps stay cheaper.
+# A tanh or sigmoid block's sweep that shrinks the residual by less than
+# this factor hands over to Newton. Those blocks contract at about 0.1-0.2
+# per sweep, where a sweep costs a fraction of a Newton step's stacked
+# linear solve and sweeps stay cheaper. A piecewise-linear block hands over
+# after its first sweep instead, since Newton lands on its root once the
+# activation pattern holds, and gets EARLY_NEWTON_STEPS steps there; if they
+# miss, it sweeps again from its start under this rule. The cap keeps a
+# failing solve's cost near the rule's own: uncapped, the median F
+# evaluations per failing solve of scripts/block_sweep.py nearly doubled.
 SWEEP_RATE = 0.3
+EARLY_NEWTON_STEPS = 3
 
 
 class ActivationKind(Enum):
@@ -347,36 +359,77 @@ def _newton_step(w, s, alpha, r):
     return numkit.solve_many(_shifted_identity(w, s, alpha), r.T).T
 
 
-def _solve_fixed_point(act, w, b, c, alpha, z, what):
+def _solve_fixed_point(act, w, b, c, alpha, z, what, v, s):
     """Solve ``z = c + alpha F(z)`` for the ``(n, B)`` state ``z``.
 
-    The fixed-point sweeps start at ``z``; damped Newton goes on from the
-    last sweep iterate. Returns ``(z, F(z))`` with
-    ``max |z - c - alpha F(z)| <= SOLVER_TOL``, or raises
+    ``z`` holds the start ``v + s F(v)``. The fixed-point sweeps start
+    there; damped Newton goes on from the last sweep iterate. Returns
+    ``(z, F(z))`` with ``max |z - c - alpha F(z)| <= SOLVER_TOL``, or raises
     ``SolverDivergedError`` carrying the final residual; its message also
     gives the final iterate's max ``|z|``.
+
+    A piecewise-linear block (identity or ReLU) hands over to Newton after
+    the first sweep that misses the tolerance, and Newton gets
+    ``EARLY_NEWTON_STEPS`` steps. If they miss, the start is made again,
+    F(v) with it, in the start array, and the solve runs as for a tanh
+    block: sweeps while each shrinks the residual by ``SWEEP_RATE``, then
+    up to ``SOLVER_MAX_ITER`` Newton steps.
 
     The start array is the solver's to write. The sweeps take turns between
     it and one row of their own, and Newton keeps its iterate in it, so a
     caller that still holds the start holds no array the solver has left.
     """
+    if act is ActivationKind.IDENTITY or act is ActivationKind.RELU:
+        z, fz, res = _sweeps_then_newton(act, w, b, c, alpha, z, True)
+        if res <= SOLVER_TOL:
+            return z, fz
+        # Newton left its iterate in the start array, which the start
+        # overwrites: no copy of it is held through Newton.
+        del fz
+        np.multiply(act.apply(_affine(w, b, v)), s, out=z)
+        z += v
+    z, fz, res = _sweeps_then_newton(act, w, b, c, alpha, z, False)
+    if res <= SOLVER_TOL:
+        return z, fz
+    # The state's scale tells a blown-up state, whose residual cannot reach
+    # an absolute tolerance in floating point, from a solve that stalled.
+    raise SolverDivergedError(
+        f"{what} stalled at residual {res:.3e} (tol {SOLVER_TOL:.1e}) "
+        f"with max |z| {float(np.abs(z).max()):.3e}",
+        residual=res,
+    )
+
+
+def _sweeps_then_newton(act, w, b, c, alpha, z, early):
+    """One attempt of ``_solve_fixed_point`` from ``z``; returns ``(z, F(z), residual)``.
+
+    The sweeps hand over to Newton after the first sweep that misses the
+    tolerance if ``early``, else once a sweep shrinks the residual by less
+    than ``SWEEP_RATE``; Newton then gets ``EARLY_NEWTON_STEPS`` or
+    ``SOLVER_MAX_ITER`` steps. Newton's iterate is the start array ``z``.
+    """
     start = z
     # Fixed-point sweeps. The update z_next = c + alpha F(z) makes
-    # |z_next - z| exactly the residual norm of the current iterate. They
-    # hand over to Newton once a sweep shrinks the residual by less than
-    # SWEEP_RATE; that test is also true for an infinite or NaN residual.
-    # F(z) is made fresh each sweep, because the converged one is returned.
+    # |z_next - z| exactly the residual norm of the current iterate. The
+    # handover test is also true for an infinite or NaN residual. F(z) is
+    # made fresh each sweep, because the converged one is returned. The
+    # bias is broadcast once, into a row that each sweep adds with a
+    # same-shape add: NumPy buffers a broadcast operand on every add.
+    bias = np.empty_like(z)
+    bias[...] = b[:, None]
     z_next, diff = np.empty_like(z), np.empty_like(z)
     prev = np.inf
     for _ in range(SOLVER_MAX_ITER + 1):
-        fz = act.apply(_affine(w, b, z))
+        fz = np.dot(w, z)
+        fz += bias
+        act.apply(fz)
         np.multiply(fz, alpha, out=z_next)
         z_next += c
         np.subtract(z_next, z, out=diff)
-        res = float(np.abs(diff, out=diff).max())
+        res = float(np.maximum.reduce(np.abs(diff, out=diff), None))
         if res <= SOLVER_TOL:
-            return z, fz
-        if not res < SWEEP_RATE * prev:
+            return z, fz, res
+        if early or not res < SWEEP_RATE * prev:
             break
         prev = res
         z, z_next = z_next, z
@@ -389,15 +442,15 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
         start[...] = z
         z = start
     # Freed before Newton makes its arrays.
-    del z_next, diff
+    del bias, z_next, diff
 
     # Damped Newton on r(z) = z - c - alpha F(z), backtracking (Armijo) on
     # ||r||^2, whose slope along the Newton step is -2 ||r||^2.
     r = z - c - alpha * fz
     res = float(np.abs(r).max())
-    for _ in range(SOLVER_MAX_ITER):
+    for _ in range(EARLY_NEWTON_STEPS if early else SOLVER_MAX_ITER):
         if res <= SOLVER_TOL:
-            return z, fz
+            break
         try:
             # F(z) is not read again before the line search replaces it, so
             # its slopes are taken over it.
@@ -420,15 +473,7 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what):
         # Freed before the next step's matrices are built.
         del d, z_try
         res = float(np.abs(r).max())
-    if res <= SOLVER_TOL:
-        return z, fz
-    # The state's scale tells a blown-up state, whose residual cannot reach
-    # an absolute tolerance in floating point, from a solve that stalled.
-    raise SolverDivergedError(
-        f"{what} stalled at residual {res:.3e} (tol {SOLVER_TOL:.1e}) "
-        f"with max |z| {float(np.abs(z).max()):.3e}",
-        residual=res,
-    )
+    return z, fz, res
 
 
 def _weights_in_turn(blocks: BlockStack):
@@ -461,9 +506,6 @@ def solve_stack(cfg: ImplicitBlockConfig, blocks: BlockStack, x: np.ndarray, kee
     """
     act = cfg.activation
     theta, h = cfg.theta, cfg.h
-    # A linear block starts from one Newton step from y = x, where the
-    # residual is -h F(x): that step is its closed form.
-    newton_start = theta > 0.0 and act is ActivationKind.IDENTITY
     depth = len(blocks)
     biases = blocks.b[:, :, None]
     if keep_tape:
@@ -491,21 +533,16 @@ def solve_stack(cfg: ImplicitBlockConfig, blocks: BlockStack, x: np.ndarray, kee
         np.dot(w, x, out=y)
         np.add(y, b, out=fx)
         act.apply(fx)
-        if newton_start:
-            try:
-                np.subtract(x, _newton_step(w, act.deriv_from_value(fx), h * theta, -h * fx), out=y)
-            except SingularMatrixError:
-                y[...] = x
-        else:
-            # The explicit residual step x + h F(x): the output at theta = 0,
-            # and the start of the solve, in the output row, otherwise.
-            np.multiply(fx, h, out=y)
-            y += x
+        # The explicit residual step x + h F(x): the output at theta = 0,
+        # and the start of the solve, in the output row, otherwise.
+        np.multiply(fx, h, out=y)
+        y += x
         if theta == 0.0:
             continue
         try:
             y[...], fy = _solve_fixed_point(
-                act, w, blocks.b[i], x + (h * (1.0 - theta)) * fx, h * theta, y, "block solver"
+                act, w, blocks.b[i], x + (h * (1.0 - theta)) * fx, h * theta, y, "block solver",
+                x, h,
             )
         except SolverDivergedError as exc:
             exc.layer = i
@@ -740,5 +777,7 @@ def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.nd
     x0 = act.apply(_affine(w, b, yc))
     const = yc - (h * theta) * x0
     np.subtract(yc, np.multiply(x0, h, out=x0), out=x0)
-    x, _ = _solve_fixed_point(act, w, b, const, -(h * (1.0 - theta)), x0, "input reconstruction")
+    x, _ = _solve_fixed_point(
+        act, w, b, const, -(h * (1.0 - theta)), x0, "input reconstruction", yc, -h
+    )
     return _like(x, y)

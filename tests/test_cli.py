@@ -398,6 +398,36 @@ def test_seed_sweep_rejects_counts_below_1(tmp_path, flag, value):
     assert proc.stdout == ""
 
 
+def test_block_sweep_counts_and_compares(tmp_path):
+    first = run_script("block_sweep.py", tmp_path, "--blocks", "40")
+    assert first.returncode == 0, first.stderr
+    out = json.loads(first.stdout)
+    assert set(out) == {
+        "blocks", "solved", "papers_regime", "f_evals_solved", "median_f_evals_per_failure", "failed",
+    }
+    assert set(out["solved"]) == {"identity", "relu", "tanh", "sigmoid", "all"}
+    assert out["solved"]["all"] == sum(v for k, v in out["solved"].items() if k != "all")
+    assert out["solved"]["all"] + len(out["failed"]) == 40
+    assert out["papers_regime"]["solved"] <= out["papers_regime"]["blocks"]
+
+    # Against itself nothing differs; against a side that solved a block
+    # this one fails, the block is listed as lost and the exit code is 1.
+    (tmp_path / "same.json").write_text(first.stdout)
+    same = run_script("block_sweep.py", tmp_path, "--blocks", "40", "--against", "same.json")
+    assert same.returncode == 0, same.stderr
+    assert f"0 lost, 0 gained; solved {out['solved']['all']} -> {out['solved']['all']}" in same.stdout
+    # The first 40 blocks of seed 0 hold failures.
+    assert out["failed"]
+    better = dict(out, failed=out["failed"][1:], solved=dict(out["solved"], all=out["solved"]["all"] + 1))
+    (tmp_path / "better.json").write_text(json.dumps(better))
+    worse = run_script("block_sweep.py", tmp_path, "--blocks", "40", "--against", "better.json")
+    assert worse.returncode == 1, worse.stderr
+    assert worse.stdout.startswith(f"block {out['failed'][0]} solved there only: ")
+    mismatch = run_script("block_sweep.py", tmp_path, "--blocks", "41", "--against", "same.json")
+    assert mismatch.returncode == 2
+    assert "sweeps 40 blocks" in mismatch.stderr
+
+
 def test_fingerprint_repeats_and_names_every_part(tmp_path):
     first = run_script("fingerprint.py", tmp_path)
     assert first.returncode == 0, first.stderr

@@ -51,6 +51,20 @@ def f_evals(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """A list that grows by the number of systems of each ``solve_many`` call."""
+    calls = []
+    solve_many = numkit.solve_many
+
+    def counted(mats, rhs):
+        calls.append(len(mats))
+        return solve_many(mats, rhs)
+
+    monkeypatch.setattr(numkit, "solve_many", counted)
+    return calls
+
+
 def random_block(rng, n, mode=WeightMode.RAW, act=ActivationKind.TANH, theta=0.5, h=0.1, scale_to=None):
     a = numkit.glorot_uniform(rng, n, n)
     b = rng.uniform(-0.5, 0.5, n)
@@ -222,30 +236,23 @@ class TestForward:
                     - cfg.h * theta * block_fn(p, cfg.activation, y)
                 assert np.abs(r).max() <= cfg.solver_tol
 
-    @pytest.mark.parametrize("act, solves", [
+    @pytest.mark.parametrize("act, expected", [
         (ActivationKind.TANH, 0),
-        (ActivationKind.RELU, 0),
+        (ActivationKind.RELU, 1),
         (ActivationKind.SIGMOID, 0),
         (ActivationKind.IDENTITY, 1),
     ])
-    def test_nonlinear_block_starts_from_the_explicit_step(self, monkeypatch, act, solves):
+    def test_nonlinear_block_starts_from_the_explicit_step(self, solves, act, expected):
         # h theta ||W||_inf <= 0.1: every sweep shrinks the residual at least
-        # tenfold, so the sweeps converge and Newton never runs. A nonlinear
-        # block then starts from x + h F(x), which needs no linear solve; a
-        # linear block starts from one Newton step from y = x, its closed form.
-        calls = []
-        solve = numkit.solve_many
-
-        def counted(mats, rhs):
-            calls.append(len(mats))
-            return solve(mats, rhs)
-
-        monkeypatch.setattr(numkit, "solve_many", counted)
+        # tenfold. Every block starts from x + h F(x), which needs no linear
+        # solve. Tanh and sigmoid blocks then sweep to the tolerance and
+        # Newton never runs; identity and ReLU blocks hand over to Newton
+        # after the first sweep, and one Newton step lands on the root.
         rng = numkit.make_rng(3)
         cfg, p = random_block(rng, 6, WeightMode.SKEW_SYMMETRIC, act, theta=0.5, h=0.5, scale_to=0.1)
         x = rng.standard_normal((6, 32))
         y, _ = forward(cfg, p, x)
-        assert len(calls) == solves
+        assert len(solves) == expected
         r = y - x - 0.5 * cfg.h * (block_fn(p, act, x) + block_fn(p, act, y))
         assert np.abs(r).max() <= cfg.solver_tol
 
@@ -279,12 +286,19 @@ class TestForward:
             expected = np.linalg.solve(lhs, rhs)
             assert np.abs(y - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
 
-    def test_singular_guess_recovers_when_consistent(self):
-        # Identity activation, h*theta*W = I makes the linearized-guess
-        # matrix exactly singular; with x = 0 the equation is still solvable.
-        cfg, p = scalar_block(w=2.0)
-        y, _ = forward(cfg, p, np.array([0.0]))
+    def test_singular_early_newton_recovers_when_consistent(self, solves):
+        # Identity activation, W = diag(2, 0.2), theta = 0.5, h = 1: the
+        # Newton matrix I - h theta W = diag(0, 0.9) is exactly singular, but
+        # with x_1 = 0 the equation is still solvable. The start x + h F(x)
+        # misses in its second row, so the early Newton meets the singular
+        # matrix at once; the fallback sweeps contract at 0.1 per sweep and
+        # solve it without Newton.
+        p = BlockParams(np.diag([2.0, 0.2]), np.zeros(2))
+        cfg = ImplicitBlockConfig(theta=0.5, h=1.0, activation=ActivationKind.IDENTITY)
+        y, _ = forward(cfg, p, np.array([0.0, 1.0]))
+        assert solves == [1]
         assert y[0] == 0.0
+        assert abs(y[1] - 1.1 / 0.9) <= cfg.solver_tol
 
     def test_inconsistent_equation_diverges(self, f_evals):
         # y = x + x + y has no solution for x != 0.
@@ -301,14 +315,15 @@ class TestForward:
         # pattern changes between x and y, so the explicit start misses
         # and the sweeps contract at only 0.43-0.59 per sweep (checked
         # below). Sweeping from that start to the tolerance takes 30 F
-        # evaluations here.
+        # evaluations here; handing over after the first sweep takes 4: F(x),
+        # one sweep and two full Newton steps.
         rng = numkit.make_rng(1)
         p = BlockParams(rng.standard_normal((4, 4)), rng.uniform(-0.5, 0.5, 4), WeightMode.SKEW_SYMMETRIC)
         h = 2.4 / np.abs(p.effective_weight()).sum(axis=1).max()
         cfg = ImplicitBlockConfig(theta=0.5, h=h, activation=ActivationKind.RELU)
         x = rng.standard_normal((4, 8))
         y, _ = forward(cfg, p, x)
-        assert len(f_evals) <= 10
+        assert len(f_evals) <= 4
         base = x + 0.5 * h * block_fn(p, cfg.activation, x)
         assert np.abs(y - base - 0.5 * h * block_fn(p, cfg.activation, y)).max() <= cfg.solver_tol
         z, diffs = x, []
@@ -317,6 +332,20 @@ class TestForward:
             diffs.append(np.abs(z_next - z).max())
             z = z_next
         assert min(d1 / d0 for d0, d1 in zip(diffs, diffs[1:])) > SWEEP_RATE
+
+    def test_failed_early_newton_falls_back_to_sweeps(self, solves):
+        # Raw ReLU weights at 3.89 times Glorot's scale, theta = 1, h = 0.6:
+        # the three early Newton steps from the first sweep's iterate miss
+        # the tolerance, so the solve sweeps again from x + h F(x) and hands
+        # over to Newton under the SWEEP_RATE rule, which solves it in one
+        # more step.
+        rng = numkit.make_rng(3)
+        p = BlockParams(3.89 * numkit.glorot_uniform(rng, 5, 5), rng.uniform(-0.5, 0.5, 5))
+        cfg = ImplicitBlockConfig(theta=1.0, h=0.6, activation=ActivationKind.RELU)
+        x = rng.standard_normal((5, 1))
+        y, _ = forward(cfg, p, x)
+        assert len(solves) == implicitblock.EARLY_NEWTON_STEPS + 1
+        assert np.abs(y - x - cfg.h * block_fn(p, cfg.activation, y)).max() <= cfg.solver_tol
 
     def test_fixed_point_contraction_rate(self):
         rng = numkit.make_rng(6)
