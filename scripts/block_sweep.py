@@ -18,7 +18,9 @@ The package is the one on ``sys.path``, so
 ``PYTHONPATH=<checkout>/src scripts/block_sweep.py`` sweeps any checkout.
 ``--against FILE`` compares with an earlier output of the same block
 count instead of printing it: it lists each block that only one
-side solves and exits 1 if a block solved there is not solved here.
+side solves, prints both sides' solved counts, F evaluations of the
+solved blocks and median F evaluations per failure, and exits 1 if a
+block solved there is not solved here.
 """
 
 import argparse
@@ -130,6 +132,7 @@ def main() -> int:
         if i in lost or i in gained:
             print(f"block {i} solved {'there only' if i in lost else 'here only'}: {describe(*block)}")
     print(f"{len(lost)} lost, {len(gained)} gained; solved {before['solved']['all']} -> {now['solved']['all']}")
+    print(f"F evaluations of solved blocks {before['f_evals_solved']} -> {now['f_evals_solved']}")
     print(
         f"median F evaluations per failure {before['median_f_evals_per_failure']} "
         f"-> {now['median_f_evals_per_failure']}"

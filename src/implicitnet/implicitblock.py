@@ -14,27 +14,28 @@ Both directions solve the same kind of equation, ``z = c + alpha F(z)``:
 ``forward`` finds ``y`` with ``c = x + h(1-theta)F(x)`` and
 ``alpha = h theta``, ``reconstruct_input`` finds ``x`` with
 ``c = y - h theta F(y)`` and ``alpha = -h(1-theta)``. One routine,
-``_solve_fixed_point``, serves both:
+``_solve_fixed_point``, serves both. It runs two phases, and it alone
+reads the activation to choose their order:
 
-1. fixed-point sweeps ``z <- c + alpha F(z)``, which contract at rate
-   ``|alpha| L`` for L-Lipschitz F. Tanh and sigmoid blocks sweep until one
-   shrinks the residual by less than ``SWEEP_RATE``. Identity and ReLU
-   blocks hand over after the first sweep that misses the tolerance: F is
-   then piecewise linear, so the residual is affine wherever the
-   activation pattern holds and a Newton step lands on the root once the
-   pattern is right (semismooth Newton);
-2. if they miss the tolerance, damped Newton on
-   ``r(z) = z - c - alpha F(z)``: each step solves
-   ``(I - alpha diag(F'(z)) W) d = r`` for every column in one stacked
-   solve and backtracks on ``||r||^2`` (Armijo constant 1e-4, step
-   halving, at most 40 halvings per step). A singular Newton matrix or a
-   failed line search ends the solve with ``SolverDivergedError``.
+- ``_sweeps``: fixed-point sweeps ``z <- c + alpha F(z)``, which contract
+  at rate ``|alpha| L`` for L-Lipschitz F, until one meets the tolerance
+  or shrinks the residual by less than ``SWEEP_RATE``;
+- ``_newton``: damped Newton on ``r(z) = z - c - alpha F(z)``. Each step
+  solves ``(I - alpha diag(F'(z)) W) d = r`` for every column in one
+  stacked solve and backtracks on ``||r||^2`` (Armijo constant 1e-4, step
+  halving, at most 40 halvings per step). A singular Newton matrix or a
+  failed line search ends the steps.
 
-A piecewise-linear block's early Newton gets ``EARLY_NEWTON_STEPS`` steps.
-If they end above the tolerance (too few steps, a failed line search or a
-singular matrix), the solve makes its start again and runs both phases as
-a tanh block would: it solves what that rule alone solves from the
-explicit step, to the same bits.
+Tanh and sigmoid blocks sweep, then take up to ``SOLVER_MAX_ITER`` Newton
+steps if the sweeps missed. Identity and ReLU blocks go to Newton straight
+from the start: F is then piecewise linear, so the residual is affine
+wherever the activation pattern holds and a Newton step lands on the root
+once the pattern is right (semismooth Newton). That early Newton gets
+``EARLY_NEWTON_STEPS`` steps. If they end above the tolerance (too few
+steps, a failed line search or a singular matrix), the solve makes its
+start again and runs both phases as a tanh block would: it solves what
+that rule alone solves from the explicit step, to the same bits. A solve
+still above the tolerance raises ``SolverDivergedError``.
 
 Every solve starts from the explicit step of its own direction, which
 costs nothing more: the block's F at its known state is in hand.
@@ -68,7 +69,8 @@ block's effective weight at once, since the tape keeps them all, writes
 each block's output, F(x) and F(y) into rows it makes up front, and takes
 the tape's slopes once for all layers. Without a tape it makes each
 block's W only when the block runs, into one reused row, so the forward
-holds one block's weights and a few state rows at any depth.
+holds one block's weights and a few state rows at any depth; at
+``theta = 0``, where nothing is solved, it builds them all at once.
 ``pull_back_stack`` is the one backward loop: it runs the recursion,
 overwriting each block's slopes with its pulled-back ``px`` and ``py``,
 and consumes the tape. Only once it has released the weight stack does it
@@ -98,15 +100,15 @@ SOLVER_MAX_ITER = 100
 # most step halvings tried before a step counts as failed.
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 40
-# A tanh or sigmoid block's sweep that shrinks the residual by less than
-# this factor hands over to Newton. Those blocks contract at about 0.1-0.2
-# per sweep, where a sweep costs a fraction of a Newton step's stacked
-# linear solve and sweeps stay cheaper. A piecewise-linear block hands over
-# after its first sweep instead, since Newton lands on its root once the
-# activation pattern holds, and gets EARLY_NEWTON_STEPS steps there; if they
-# miss, it sweeps again from its start under this rule. The cap keeps a
-# failing solve's cost near the rule's own: uncapped, the median F
-# evaluations per failing solve of scripts/block_sweep.py nearly doubled.
+# A sweep that shrinks the residual by less than this factor hands over to
+# Newton. Tanh and sigmoid blocks contract at about 0.1-0.2 per sweep, where
+# a sweep costs a fraction of a Newton step's stacked linear solve and
+# sweeps stay cheaper. A piecewise-linear block starts with
+# EARLY_NEWTON_STEPS Newton steps instead, since Newton lands on its root
+# once the activation pattern holds; if they miss, it sweeps from its start
+# under this rule. The cap keeps a failing solve's cost near the rule's
+# own: uncapped, the median F evaluations per failing solve of
+# scripts/block_sweep.py nearly doubled.
 SWEEP_RATE = 0.3
 EARLY_NEWTON_STEPS = 3
 
@@ -349,38 +351,22 @@ def _shifted_identity(w: np.ndarray, s: np.ndarray, coeff: float) -> np.ndarray:
     return np.subtract(_eye(w.shape[0]), m, out=m)
 
 
-def _newton_step(w, s, alpha, r):
-    """Newton step for ``r(z) = z - c - alpha F(z)``, one system per column.
-
-    ``s = F'(z)`` columnwise; the step ``d`` solves
-    ``(I - alpha diag(s) W) d = r``, so ``z - d`` is the Newton iterate.
-    Raises ``SingularMatrixError`` where that matrix is singular.
-    """
-    return numkit.solve_many(_shifted_identity(w, s, alpha), r.T).T
-
-
 def _solve_fixed_point(act, w, b, c, alpha, z, what, v, s):
     """Solve ``z = c + alpha F(z)`` for the ``(n, B)`` state ``z``.
 
-    ``z`` holds the start ``v + s F(v)``. The fixed-point sweeps start
-    there; damped Newton goes on from the last sweep iterate. Returns
-    ``(z, F(z))`` with ``max |z - c - alpha F(z)| <= SOLVER_TOL``, or raises
+    ``z`` holds the start ``v + s F(v)``. Returns ``(z, F(z))`` with
+    ``max |z - c - alpha F(z)| <= SOLVER_TOL``, or raises
     ``SolverDivergedError`` carrying the final residual; its message also
-    gives the final iterate's max ``|z|``.
-
-    A piecewise-linear block (identity or ReLU) hands over to Newton after
-    the first sweep that misses the tolerance, and Newton gets
-    ``EARLY_NEWTON_STEPS`` steps. If they miss, the start is made again,
-    F(v) with it, in the start array, and the solve runs as for a tanh
-    block: sweeps while each shrinks the residual by ``SWEEP_RATE``, then
-    up to ``SOLVER_MAX_ITER`` Newton steps.
+    gives the final iterate's max ``|z|``. The activation picks the order
+    of the phases, as the module docstring says; a failed early Newton
+    makes the start again, F(v) with it, in the start array.
 
     The start array is the solver's to write. The sweeps take turns between
     it and one row of their own, and Newton keeps its iterate in it, so a
     caller that still holds the start holds no array the solver has left.
     """
     if act is ActivationKind.IDENTITY or act is ActivationKind.RELU:
-        z, fz, res = _sweeps_then_newton(act, w, b, c, alpha, z, True)
+        z, fz, res = _newton(act, w, b, c, alpha, z, act.apply(_affine(w, b, z)), EARLY_NEWTON_STEPS)
         if res <= SOLVER_TOL:
             return z, fz
         # Newton left its iterate in the start array, which the start
@@ -388,7 +374,9 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what, v, s):
         del fz
         np.multiply(act.apply(_affine(w, b, v)), s, out=z)
         z += v
-    z, fz, res = _sweeps_then_newton(act, w, b, c, alpha, z, False)
+    z, fz, res = _sweeps(act, w, b, c, alpha, z)
+    if not res <= SOLVER_TOL:  # a NaN residual goes on to Newton too
+        z, fz, res = _newton(act, w, b, c, alpha, z, fz, SOLVER_MAX_ITER)
     if res <= SOLVER_TOL:
         return z, fz
     # The state's scale tells a blown-up state, whose residual cannot reach
@@ -400,21 +388,20 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what, v, s):
     )
 
 
-def _sweeps_then_newton(act, w, b, c, alpha, z, early):
-    """One attempt of ``_solve_fixed_point`` from ``z``; returns ``(z, F(z), residual)``.
+def _sweeps(act, w, b, c, alpha, z):
+    """Fixed-point sweeps from the start array ``z``; returns ``(z, F(z), residual)``.
 
-    The sweeps hand over to Newton after the first sweep that misses the
-    tolerance if ``early``, else once a sweep shrinks the residual by less
-    than ``SWEEP_RATE``; Newton then gets ``EARLY_NEWTON_STEPS`` or
-    ``SOLVER_MAX_ITER`` steps. Newton's iterate is the start array ``z``.
+    They stop at the first sweep that meets the tolerance or shrinks the
+    residual by less than ``SWEEP_RATE``. A missed solve comes back in the
+    start array, where Newton keeps its iterate.
     """
     start = z
-    # Fixed-point sweeps. The update z_next = c + alpha F(z) makes
-    # |z_next - z| exactly the residual norm of the current iterate. The
-    # handover test is also true for an infinite or NaN residual. F(z) is
-    # made fresh each sweep, because the converged one is returned. The
-    # bias is broadcast once, into a row that each sweep adds with a
-    # same-shape add: NumPy buffers a broadcast operand on every add.
+    # The update z_next = c + alpha F(z) makes |z_next - z| exactly the
+    # residual norm of the current iterate. The handover test is also true
+    # for an infinite or NaN residual. F(z) is made fresh each sweep,
+    # because the converged one is returned. The bias is broadcast once,
+    # into a row that each sweep adds with a same-shape add: NumPy buffers
+    # a broadcast operand on every add.
     bias = np.empty_like(z)
     bias[...] = b[:, None]
     z_next, diff = np.empty_like(z), np.empty_like(z)
@@ -429,7 +416,7 @@ def _sweeps_then_newton(act, w, b, c, alpha, z, early):
         res = float(np.maximum.reduce(np.abs(diff, out=diff), None))
         if res <= SOLVER_TOL:
             return z, fz, res
-        if early or not res < SWEEP_RATE * prev:
+        if not res < SWEEP_RATE * prev:
             break
         prev = res
         z, z_next = z_next, z
@@ -437,24 +424,26 @@ def _sweeps_then_newton(act, w, b, c, alpha, z, early):
         # Every sweep contracted fast but ran out of iterations: z moved
         # past the last F evaluation.
         fz = act.apply(_affine(w, b, z))
-    # Newton works in the start row, so that the sweeps' own can go.
     if z is not start:
         start[...] = z
-        z = start
-    # Freed before Newton makes its arrays.
-    del bias, z_next, diff
+    return start, fz, res
 
-    # Damped Newton on r(z) = z - c - alpha F(z), backtracking (Armijo) on
-    # ||r||^2, whose slope along the Newton step is -2 ||r||^2.
+
+def _newton(act, w, b, c, alpha, z, fz, steps):
+    """Up to ``steps`` damped Newton steps from ``z`` and ``fz = F(z)``; returns ``(z, F(z), residual)``.
+
+    The iterate is kept in ``z``. Each step backtracks on ``||r||^2``,
+    whose slope along the Newton step is ``-2 ||r||^2`` (Armijo).
+    """
     r = z - c - alpha * fz
     res = float(np.abs(r).max())
-    for _ in range(EARLY_NEWTON_STEPS if early else SOLVER_MAX_ITER):
+    for _ in range(steps):
         if res <= SOLVER_TOL:
             break
         try:
             # F(z) is not read again before the line search replaces it, so
-            # its slopes are taken over it.
-            d = _newton_step(w, act.deriv_from_value(fz, out=fz), alpha, r)
+            # its slopes are taken over it. The matrices go once d is made.
+            d = numkit.solve_many(_shifted_identity(w, act.deriv_from_value(fz, out=fz), alpha), r.T).T
         except SingularMatrixError:
             break
         phi = float((r * r).sum())
@@ -499,17 +488,20 @@ def solve_stack(cfg: ImplicitBlockConfig, blocks: BlockStack, x: np.ndarray, kee
     returned, whose ``w`` is every block's effective weight, built at once,
     and whose slopes are then taken in place once for all layers. Without
     it, ``tape`` is ``None``, the states take turns in two rows, one row
-    holds F(x), and each block's ``W`` is made only when the block runs, so
-    the forward holds one block's weights. ``y`` owns its data either way,
-    so holding it keeps no tape or row alive. A failed solve raises
-    ``SolverDivergedError`` carrying the index of its layer.
+    holds F(x), and at ``theta > 0`` each block's ``W`` is made only when
+    the block runs, so the forward holds one block's weights. ``y`` owns
+    its data either way, so holding it keeps no tape or row alive. A
+    failed solve raises ``SolverDivergedError`` carrying the index of its
+    layer.
     """
     act = cfg.activation
     theta, h = cfg.theta, cfg.h
     depth = len(blocks)
     biases = blocks.b[:, :, None]
+    # A tape keeps every W; at theta = 0 no solve follows, so one call
+    # builds them all there too.
+    ws = blocks.effective_weight() if keep_tape or theta == 0.0 else _weights_in_turn(blocks)
     if keep_tape:
-        ws = blocks.effective_weight()
         # Row i + 1 of states is block i's output.
         states = np.empty((depth + 1,) + x.shape)
         states[0] = x
@@ -520,7 +512,6 @@ def solve_stack(cfg: ImplicitBlockConfig, blocks: BlockStack, x: np.ndarray, kee
         fxs[...] = biases
         biases = fxs
     else:
-        ws = _weights_in_turn(blocks)
         # Two allocations, not one: the last state must not pin the other
         # row. The input is copied into the second, so that the caller's
         # array is not held once the first block has read it.
@@ -762,7 +753,7 @@ def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.nd
     Solves ``x = y - h theta F(y) - h(1-theta)F(x)`` with the block's
     solver, started from ``x0 = y - h F(y)``. At ``theta = 1`` that start
     point is the explicit inverse, bitwise equal to the solver's constant
-    term, so the first sweep returns it. The fixed-point sweeps converge
+    term, so the solver's first residual test returns it. The fixed-point sweeps converge
     when ``h (1-theta) Lip(F) < 1``, which the time-symmetric
     ``theta = 0.5`` blocks used for reversible training satisfy by
     construction whenever their own forward iteration does.

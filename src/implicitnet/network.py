@@ -254,16 +254,23 @@ def _forward_arrays(m: Model, x: np.ndarray, keep_tapes: bool = True):
     return out, hid, tape
 
 
+def _check_widths(m: Model, x: np.ndarray, targets: np.ndarray | None = None) -> None:
+    """``DimensionMismatchError`` unless ``x`` is ``(input_dim,)`` or ``(input_dim, B)``
+    and ``targets``, when given, ``(output_dim,)`` or ``(output_dim, B)`` to match."""
+    if x.ndim not in (1, 2) or x.shape[0] != m.spec.input_dim:
+        raise DimensionMismatchError(f"input shape {x.shape} does not match input_dim {m.spec.input_dim}")
+    want = (m.spec.output_dim,) + x.shape[1:]
+    if targets is not None and targets.shape != want:
+        raise DimensionMismatchError(f"target shape {targets.shape} does not match {want}")
+
+
 def model_forward(m: Model, x) -> tuple[np.ndarray, list[ib.TapeEntry]]:
     """Evaluate the model on one state ``(input_dim,)`` or a batch ``(input_dim, B)``.
 
     Also returns one ``TapeEntry`` per block, whose arrays view the stacked tape.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[0] != m.spec.input_dim:
-        raise DimensionMismatchError(
-            f"input shape {x.shape} does not match input_dim {m.spec.input_dim}"
-        )
+    _check_widths(m, x)
     out, _, tape = _forward_arrays(m, x[:, None] if x.ndim == 1 else x)
     tapes = [] if tape is None else [tape.block(i) for i in range(len(m.blocks))]
     return out.reshape((m.spec.output_dim,) + x.shape[1:]), tapes
@@ -385,14 +392,20 @@ def loss_and_grad(m: Model, batch, cfg: TrainConfig) -> tuple[float, list[np.nda
         raise ValueError("batch must be nonempty")
     x = np.stack([np.asarray(p[0], dtype=float) for p in batch], axis=1)
     t = np.stack([np.asarray(p[1], dtype=float) for p in batch], axis=1)
+    _check_widths(m, x, t)
     total, _, grads, _ = _loss_and_grad_arrays(m, x, t, cfg.loss, cfg.reversible)
     return total, grads
 
 
 def evaluate(m: Model, inputs: np.ndarray, targets: np.ndarray, kind: LossKind):
-    """Mean data loss over a whole set; accuracy too for binary targets."""
+    """Mean data loss over ``(N, input_dim)`` inputs and ``(N, output_dim)`` targets.
+
+    Accuracy too for binary targets. A width error gives shapes transposed,
+    a column per sample.
+    """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
+    _check_widths(m, inputs.T, targets.T)
     out, _, _ = _forward_arrays(m, inputs.T, keep_tapes=False)
     loss = _data_loss(kind, out, targets.T)
     accuracy = None
@@ -415,6 +428,9 @@ def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
     x_train = np.asarray(train_set.inputs, dtype=float)
     t_train = np.asarray(train_set.targets, dtype=float)
     n = x_train.shape[0]
+    # Checked once here, not on each batch's slice.
+    for inputs, targets in ((x_train, t_train), (val_set.inputs, val_set.targets)):
+        _check_widths(m, np.transpose(inputs), np.transpose(targets))
     want_acc = cfg.loss is LossKind.BINARY_CROSS_ENTROPY
 
     train_hist: list[float] = []

@@ -416,6 +416,8 @@ def test_block_sweep_counts_and_compares(tmp_path):
     same = run_script("block_sweep.py", tmp_path, "--blocks", "40", "--against", "same.json")
     assert same.returncode == 0, same.stderr
     assert f"0 lost, 0 gained; solved {out['solved']['all']} -> {out['solved']['all']}" in same.stdout
+    evals = out["f_evals_solved"]
+    assert f"F evaluations of solved blocks {evals} -> {evals}\n" in same.stdout
     # The first 40 blocks of seed 0 hold failures.
     assert out["failed"]
     better = dict(out, failed=out["failed"][1:], solved=dict(out["solved"], all=out["solved"]["all"] + 1))

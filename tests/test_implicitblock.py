@@ -217,13 +217,23 @@ class TestForward:
         y, _ = forward(cfg, p, np.array([1.0]))
         assert y[0] == pytest.approx(5.0 / 3.0, abs=1e-10)
 
-    def test_zero_map_returns_input(self):
-        p = BlockParams(np.zeros((3, 3)), np.zeros(3))
-        for act in (ActivationKind.IDENTITY, ActivationKind.TANH, ActivationKind.RELU):
+    def test_zero_map_returns_input(self, f_evals, solves):
+        # F is zero, so the start x + h F(x) is already the root. Every
+        # block evaluates F at x and at the start and makes no linear
+        # solve: identity and ReLU blocks read the start's residual in
+        # Newton, tanh blocks in their first sweep. With a negative bias a
+        # ReLU block's F is zero too.
+        zero = BlockParams(np.zeros((3, 3)), np.zeros(3))
+        cases = [(act, zero) for act in (ActivationKind.IDENTITY, ActivationKind.TANH, ActivationKind.RELU)]
+        cases.append((ActivationKind.RELU, BlockParams(np.zeros((3, 3)), np.full(3, -0.5))))
+        for act, p in cases:
             cfg = ImplicitBlockConfig(theta=0.7, h=0.3, activation=act)
-            x = np.array([0.4, -1.2, 2.0])
-            y, _ = forward(cfg, p, x)
-            np.testing.assert_allclose(y, x, atol=1e-12)
+            for x in (np.array([0.4, -1.2, 2.0]), numkit.make_rng(5).standard_normal((3, 4))):
+                f_evals.clear()
+                y, _ = forward(cfg, p, x)
+                np.testing.assert_allclose(y, x, atol=1e-12)
+                assert len(f_evals) == 2, (act, x.shape)
+                assert solves == [], (act, x.shape)
 
     def test_residual_bound_holds(self):
         rng = numkit.make_rng(2)
@@ -246,8 +256,8 @@ class TestForward:
         # h theta ||W||_inf <= 0.1: every sweep shrinks the residual at least
         # tenfold. Every block starts from x + h F(x), which needs no linear
         # solve. Tanh and sigmoid blocks then sweep to the tolerance and
-        # Newton never runs; identity and ReLU blocks hand over to Newton
-        # after the first sweep, and one Newton step lands on the root.
+        # Newton never runs; identity and ReLU blocks go to Newton straight
+        # from the start, and one Newton step lands on the root.
         rng = numkit.make_rng(3)
         cfg, p = random_block(rng, 6, WeightMode.SKEW_SYMMETRIC, act, theta=0.5, h=0.5, scale_to=0.1)
         x = rng.standard_normal((6, 32))
@@ -315,8 +325,8 @@ class TestForward:
         # pattern changes between x and y, so the explicit start misses
         # and the sweeps contract at only 0.43-0.59 per sweep (checked
         # below). Sweeping from that start to the tolerance takes 30 F
-        # evaluations here; handing over after the first sweep takes 4: F(x),
-        # one sweep and two full Newton steps.
+        # evaluations here; Newton from the start takes 4: F(x), F at the
+        # start and two full Newton steps.
         rng = numkit.make_rng(1)
         p = BlockParams(rng.standard_normal((4, 4)), rng.uniform(-0.5, 0.5, 4), WeightMode.SKEW_SYMMETRIC)
         h = 2.4 / np.abs(p.effective_weight()).sum(axis=1).max()
@@ -335,10 +345,10 @@ class TestForward:
 
     def test_failed_early_newton_falls_back_to_sweeps(self, solves):
         # Raw ReLU weights at 3.89 times Glorot's scale, theta = 1, h = 0.6:
-        # the three early Newton steps from the first sweep's iterate miss
-        # the tolerance, so the solve sweeps again from x + h F(x) and hands
-        # over to Newton under the SWEEP_RATE rule, which solves it in one
-        # more step.
+        # the three early Newton steps from the start x + h F(x) miss the
+        # tolerance, so the solve makes that start again, sweeps from it and
+        # hands over to Newton under the SWEEP_RATE rule, which solves it in
+        # one more step.
         rng = numkit.make_rng(3)
         p = BlockParams(3.89 * numkit.glorot_uniform(rng, 5, 5), rng.uniform(-0.5, 0.5, 5))
         cfg = ImplicitBlockConfig(theta=1.0, h=0.6, activation=ActivationKind.RELU)
@@ -386,7 +396,8 @@ class TestSolveStack:
         return cfg, blocks, rng.standard_normal((n, 5))
 
     # Depth 3 goes back to the first state row, so both rows take a turn.
-    # Without a tape, skew-symmetric weights are made one block at a time.
+    # Without a tape, skew-symmetric weights are made one block at a time
+    # at theta = 0.5 and all at once at theta = 0, where nothing is solved.
     @pytest.mark.parametrize("mode", [WeightMode.RAW, WeightMode.SKEW_SYMMETRIC])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     @pytest.mark.parametrize("theta", [0.0, 0.5])

@@ -763,6 +763,37 @@ class TestEvaluate:
         assert acc == pytest.approx(0.75)
 
 
+def labeled(inputs_width, targets_width, n=6):
+    return LabeledSet(np.zeros((n, inputs_width)), np.zeros((n, targets_width)), SetKind.REGRESSION)
+
+
+class TestWidthChecks:
+    """Each public entry point rejects inputs or targets of the wrong width
+    with ``DimensionMismatchError``, on a model with input_dim 2 and
+    output_dim 1; ``train`` does so before its first step."""
+
+    CALLS = {
+        "model_forward inputs": lambda m: model_forward(m, np.zeros((3, 4))),
+        "evaluate inputs": lambda m: evaluate(m, np.zeros((5, 3)), np.zeros((5, 1)), LossKind.SQUARED_ERROR),
+        # Without the check these targets broadcast and give a loss.
+        "evaluate targets": lambda m: evaluate(m, np.zeros((5, 2)), np.zeros((5, 2)), LossKind.SQUARED_ERROR),
+        "evaluate sample count": lambda m: evaluate(m, np.zeros((5, 2)), np.zeros((4, 1)), LossKind.SQUARED_ERROR),
+        "loss_and_grad inputs": lambda m: loss_and_grad(m, [(np.zeros(3), np.zeros(1))], TrainConfig()),
+        "loss_and_grad targets": lambda m: loss_and_grad(m, [(np.zeros(2), np.zeros(2))], TrainConfig()),
+        "train set targets": lambda m: train(m, labeled(2, 2), labeled(2, 1), TrainConfig(epochs=1)),
+        "validation set inputs": lambda m: train(m, labeled(2, 1), labeled(3, 1), TrainConfig(epochs=1)),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_wrong_width_raises_before_any_step(self, call):
+        m = init_model(small_spec(), 0)
+        before = [p.copy() for _, p in named_parameters(m)]
+        with pytest.raises(DimensionMismatchError, match="does not match"):
+            self.CALLS[call](m)
+        for (name, p), saved in zip(named_parameters(m), before):
+            np.testing.assert_array_equal(p, saved, err_msg=name)
+
+
 class TestBundledHistories:
     """Three epochs of each bundled config reproduce its committed history.
 
