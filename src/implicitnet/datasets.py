@@ -35,15 +35,18 @@ class SetKind(Enum):
 
 @dataclass
 class LabeledSet:
-    """Row-per-sample arrays: inputs (N, d) and targets (N, m)."""
+    """Row-per-sample arrays: inputs (N, d) and targets (N, m).
+
+    A 1-D array is one column, one sample per entry; a scalar is one sample.
+    """
 
     inputs: np.ndarray
     targets: np.ndarray
     kind: SetKind
 
     def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        self.targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
+        self.inputs = _rows(self.inputs)
+        self.targets = _rows(self.targets)
         if len(self.inputs) != len(self.targets):
             raise InvalidCountError(
                 f"{len(self.inputs)} inputs vs {len(self.targets)} targets"
@@ -51,6 +54,12 @@ class LabeledSet:
 
     def __len__(self) -> int:
         return len(self.inputs)
+
+
+def _rows(values) -> np.ndarray:
+    """``values`` as a float array with one row per sample."""
+    a = np.asarray(values, dtype=float)
+    return a[:, None] if a.ndim == 1 else np.atleast_2d(a)
 
 
 def target_fn(x):

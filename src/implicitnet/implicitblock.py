@@ -22,9 +22,10 @@ reads the activation to choose their order:
   or shrinks the residual by less than ``SWEEP_RATE``;
 - ``_newton``: damped Newton on ``r(z) = z - c - alpha F(z)``. Each step
   solves ``(I - alpha diag(F'(z)) W) d = r`` for every column in one
-  stacked solve and backtracks on ``||r||^2`` (Armijo constant 1e-4, step
-  halving, at most 40 halvings per step). A singular Newton matrix or a
-  failed line search ends the steps.
+  stacked solve. A full step whose residual meets the tolerance is taken
+  at once; any other step backtracks on ``||r||^2`` (Armijo constant 1e-4,
+  step halving, at most 40 halvings per step), whose sums are made only
+  then. A singular Newton matrix or a failed line search ends the steps.
 
 Tanh and sigmoid blocks sweep, then take up to ``SOLVER_MAX_ITER`` Newton
 steps if the sweeps missed. Identity and ReLU blocks go to Newton straight
@@ -80,6 +81,15 @@ once. The reversible path, ``pull_back_rebuilt``, rebuilds one block at a
 time with ``reconstruct_input`` and ``make_tape``, runs ``pull_back_stack``
 on that block's tape as a stack of one, and folds the block's routes into
 its finished row at once, so it returns finished gradients.
+
+At the package's sizes (width 5-6, batch 4-32) each NumPy call costs more
+than its arithmetic, so the solve and backward loops keep one operand
+rule: every operand of a ufunc is an array of the same shape or a
+read-only 0-d array, never a Python scalar, which costs a third more per
+call. The step's coefficients are made once per config
+(``ImplicitBlockConfig.coef_h`` and the rest), the constants 0, 1 and
+1/2 once per module. Reductions call ``np.maximum.reduce`` and
+``np.add.reduce`` directly, not the ``ndarray`` methods that wrap them.
 """
 
 from __future__ import annotations
@@ -113,6 +123,19 @@ SWEEP_RATE = 0.3
 EARLY_NEWTON_STEPS = 3
 
 
+def _const(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float array: a NumPy operand that costs
+    what an array does, where a Python float costs a third more per call."""
+    a = np.array(value, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
+_ZERO = _const(0.0)
+_ONE = _const(1.0)
+_HALF = _const(0.5)
+
+
 class ActivationKind(Enum):
     IDENTITY = "identity"
     RELU = "relu"
@@ -126,7 +149,7 @@ class ActivationKind(Enum):
         again, so no evaluation allocates its result.
         """
         if self is ActivationKind.RELU:
-            np.maximum(u, 0.0, out=u)
+            np.maximum(u, _ZERO, out=u)
         elif self is ActivationKind.TANH:
             np.tanh(u, out=u)
         elif self is ActivationKind.SIGMOID:
@@ -143,24 +166,24 @@ class ActivationKind(Enum):
         if out is None:
             out = np.empty_like(value)
         if self is ActivationKind.IDENTITY:
-            out[...] = 1.0
+            out[...] = _ONE
         elif self is ActivationKind.RELU:
-            np.greater(value, 0.0, out=out)
+            np.greater(value, _ZERO, out=out)
         elif self is ActivationKind.TANH:
             np.multiply(value, value, out=out)
-            np.subtract(1.0, out, out=out)
+            np.subtract(_ONE, out, out=out)
         else:
-            np.multiply(value, 1.0 - value, out=out)
+            np.multiply(value, np.subtract(_ONE, value), out=out)
         return out
 
 
 def _sigmoid(u: np.ndarray) -> None:
     """The logistic function, in place, without overflow on either side."""
-    pos = u >= 0
+    pos = u >= _ZERO
     neg = ~pos
     eu = np.exp(u[neg])
-    u[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    u[neg] = eu / (1.0 + eu)
+    u[pos] = _ONE / (_ONE + np.exp(-u[pos]))
+    u[neg] = eu / (_ONE + eu)
 
 
 class WeightMode(Enum):
@@ -242,9 +265,9 @@ def _effective_weight(a: np.ndarray, mode: WeightMode) -> np.ndarray:
     return _skew(a) if mode is WeightMode.SKEW_SYMMETRIC else a
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class ImplicitBlockConfig:
-    """Block hyperparameters.
+    """Block hyperparameters, fixed once made.
 
     ``paper_param_grad`` switches the weight/bias gradient to the reduced
     published formula that drops the F(y) route; it exists only so the
@@ -252,18 +275,38 @@ class ImplicitBlockConfig:
     training. The solver's tolerance and iteration cap are the module
     constants ``SOLVER_TOL`` and ``SOLVER_MAX_ITER``; ``solver_tol`` reads
     the first and cannot be set.
+
+    The step's coefficients are made here once, as read-only 0-d arrays,
+    for the solve and backward loops to pass to NumPy: ``coef_h`` is h,
+    ``coef_x`` is h(1-theta), the weight of F(x), ``coef_y`` is h theta,
+    the weight of F(y), and ``neg_h`` and ``neg_x`` are -h and
+    -h(1-theta). A deep copy of a config is the config itself.
     """
 
     theta: float
     h: float
     activation: ActivationKind
     paper_param_grad: bool = field(default=False)
+    coef_h: np.ndarray = field(init=False, repr=False, compare=False)
+    coef_x: np.ndarray = field(init=False, repr=False, compare=False)
+    coef_y: np.ndarray = field(init=False, repr=False, compare=False)
+    neg_h: np.ndarray = field(init=False, repr=False, compare=False)
+    neg_x: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h}")
+        h, theta = self.h, self.theta
+        for name, value in (
+            ("coef_h", h), ("coef_x", h * (1.0 - theta)), ("coef_y", h * theta),
+            ("neg_h", -h), ("neg_x", -(h * (1.0 - theta))),
+        ):
+            object.__setattr__(self, name, _const(value))
+
+    def __deepcopy__(self, memo):
+        return self
 
     @property
     def solver_tol(self) -> float:
@@ -340,7 +383,7 @@ def _eye(n: int) -> np.ndarray:
     return m
 
 
-def _shifted_identity(w: np.ndarray, s: np.ndarray, coeff: float) -> np.ndarray:
+def _shifted_identity(w: np.ndarray, s: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """Stack of ``I - coeff * diag(s[:, j]) @ W`` over the columns ``j`` of ``s``."""
     # Built in place in one buffer: the broadcasting form allocates two more
     # stacks of the same size.
@@ -383,7 +426,7 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what, v, s):
     # an absolute tolerance in floating point, from a solve that stalled.
     raise SolverDivergedError(
         f"{what} stalled at residual {res:.3e} (tol {SOLVER_TOL:.1e}) "
-        f"with max |z| {float(np.abs(z).max()):.3e}",
+        f"with max |z| {float(np.maximum.reduce(np.abs(z), None)):.3e}",
         residual=res,
     )
 
@@ -432,11 +475,13 @@ def _sweeps(act, w, b, c, alpha, z):
 def _newton(act, w, b, c, alpha, z, fz, steps):
     """Up to ``steps`` damped Newton steps from ``z`` and ``fz = F(z)``; returns ``(z, F(z), residual)``.
 
-    The iterate is kept in ``z``. Each step backtracks on ``||r||^2``,
-    whose slope along the Newton step is ``-2 ||r||^2`` (Armijo).
+    The iterate is kept in ``z``. A full step that meets the tolerance is
+    taken at once. Otherwise the step backtracks on ``||r||^2``, whose
+    slope along the Newton step is ``-2 ||r||^2`` (Armijo); ``||r||^2`` is
+    summed only then.
     """
     r = z - c - alpha * fz
-    res = float(np.abs(r).max())
+    res = float(np.maximum.reduce(np.abs(r), None))
     for _ in range(steps):
         if res <= SOLVER_TOL:
             break
@@ -446,22 +491,32 @@ def _newton(act, w, b, c, alpha, z, fz, steps):
             d = numkit.solve_many(_shifted_identity(w, act.deriv_from_value(fz, out=fz), alpha), r.T).T
         except SingularMatrixError:
             break
-        phi = float((r * r).sum())
+        phi = None
         step = 1.0
         for _ in range(MAX_HALVINGS):
-            z_try = z - step * d
+            z_try = z - d
             f_try = act.apply(_affine(w, b, z_try))
             r_try = z_try - c - alpha * f_try
-            if float((r_try * r_try).sum()) <= (1.0 - 2.0 * ARMIJO_C * step) * phi:
+            if phi is None:
+                res_try = float(np.maximum.reduce(np.abs(r_try), None))
+                if res_try <= SOLVER_TOL:
+                    break
+                # r is spent once its sum is made; its row takes the trials' squares.
+                phi = float(np.add.reduce(np.multiply(r, r, out=r), None))
+            sq_try = float(np.add.reduce(np.multiply(r_try, r_try, out=r), None))
+            if sq_try <= (1.0 - 2.0 * ARMIJO_C * step) * phi:
+                if step < 1.0:
+                    res_try = float(np.maximum.reduce(np.abs(r_try), None))
                 break
+            # Halving d in place is exact: it is d times 0.5 ** k.
             step *= 0.5
+            d *= _HALF
         else:
             break
         z[...] = z_try
-        fz, r = f_try, r_try
+        fz, r, res = f_try, r_try, res_try
         # Freed before the next step's matrices are built.
         del d, z_try
-        res = float(np.abs(r).max())
     return z, fz, res
 
 
@@ -495,7 +550,7 @@ def solve_stack(cfg: ImplicitBlockConfig, blocks: BlockStack, x: np.ndarray, kee
     layer.
     """
     act = cfg.activation
-    theta, h = cfg.theta, cfg.h
+    theta, h = cfg.theta, cfg.coef_h
     depth = len(blocks)
     biases = blocks.b[:, :, None]
     # A tape keeps every W; at theta = 0 no solve follows, so one call
@@ -532,8 +587,7 @@ def solve_stack(cfg: ImplicitBlockConfig, blocks: BlockStack, x: np.ndarray, kee
             continue
         try:
             y[...], fy = _solve_fixed_point(
-                act, w, blocks.b[i], x + (h * (1.0 - theta)) * fx, h * theta, y, "block solver",
-                x, h,
+                act, w, blocks.b[i], x + cfg.coef_x * fx, cfg.coef_y, y, "block solver", x, h
             )
         except SolverDivergedError as exc:
             exc.layer = i
@@ -596,8 +650,8 @@ def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray):
     singular solve raises ``SingularMatrixError`` carrying its layer's
     index in the stack.
     """
-    theta, h = cfg.theta, cfg.h
-    if theta == 0.0:
+    if cfg.theta == 0.0:
+        h = cfg.coef_h
         rows = (np.empty(g.shape), np.empty(g.shape))
         for i, (wt, px) in enumerate(zip(tape.w.swapaxes(-1, -2)[::-1], tape.sx[::-1])):
             o = rows[i % 2]
@@ -610,7 +664,7 @@ def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray):
         for i in range(len(tape.w) - 1, -1, -1):
             w, sx, sy = tape.w[i], tape.sx[i], tape.sy[i]
             # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
-            mats = _shifted_identity(w, sy, h * theta).transpose(0, 2, 1)
+            mats = _shifted_identity(w, sy, cfg.coef_y).transpose(0, 2, 1)
             try:
                 v = numkit.solve_many(mats, g.T).T
             except SingularMatrixError as exc:
@@ -618,7 +672,9 @@ def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray):
                 raise
             np.multiply(sx, v, out=sx)
             np.multiply(sy, v, out=sy)
-            g = v + (h * (1.0 - theta)) * (w.T @ sx)
+            g = w.T @ sx
+            g *= cfg.coef_x
+            g += v
             # Left bound, this block's Newton matrices would stay alive
             # through the next block's solve and raise the peak memory.
             del mats, v
@@ -628,10 +684,10 @@ def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray):
     depth, width = tape.sx.shape[:2]
     gw, gb = grad_buffers(cfg, depth, width)
     np.matmul(tape.sx, tape.x.swapaxes(-1, -2), out=gw[0])
-    tape.sx.sum(axis=-1, out=gb[0])
+    np.add.reduce(tape.sx, -1, out=gb[0])
     if len(gw) == 2:
         np.matmul(tape.sy, tape.y.swapaxes(-1, -2), out=gw[1])
-        tape.sy.sum(axis=-1, out=gb[1])
+        np.add.reduce(tape.sy, -1, out=gb[1])
     return g, gw, gb
 
 
@@ -679,12 +735,11 @@ def _fold_routes(cfg: ImplicitBlockConfig, gw, gb, out_w, out_b) -> None:
 
     Route 1 is scaled in its own rows. The outputs may be route 0's rows.
     """
-    h, theta = cfg.h, cfg.theta
-    np.multiply(gw[0], h * (1.0 - theta), out=out_w)
-    np.multiply(gb[0], h * (1.0 - theta), out=out_b)
+    np.multiply(gw[0], cfg.coef_x, out=out_w)
+    np.multiply(gb[0], cfg.coef_x, out=out_b)
     if len(gw) == 2:
-        gw[1] *= h * theta
-        gb[1] *= h * theta
+        gw[1] *= cfg.coef_y
+        gb[1] *= cfg.coef_y
         out_w += gw[1]
         out_b += gb[1]
 
@@ -762,13 +817,12 @@ def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.nd
     w = params.effective_weight()
     b = params.b
     act = cfg.activation
-    theta, h = cfg.theta, cfg.h
 
     # F(y), then the start x0 = y - h F(y) made over it.
     x0 = act.apply(_affine(w, b, yc))
-    const = yc - (h * theta) * x0
-    np.subtract(yc, np.multiply(x0, h, out=x0), out=x0)
+    const = yc - cfg.coef_y * x0
+    np.subtract(yc, np.multiply(x0, cfg.coef_h, out=x0), out=x0)
     x, _ = _solve_fixed_point(
-        act, w, b, const, -(h * (1.0 - theta)), x0, "input reconstruction", yc, -h
+        act, w, b, const, cfg.neg_x, x0, "input reconstruction", yc, cfg.neg_h
     )
     return _like(x, y)

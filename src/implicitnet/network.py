@@ -93,12 +93,21 @@ class ModelSpec:
         return self.horizon / self.depth
 
     def block_config(self) -> ImplicitBlockConfig:
-        return ImplicitBlockConfig(
-            theta=self.theta,
-            h=self.h,
-            activation=self.activation,
-            paper_param_grad=self.paper_param_grad,
-        )
+        """The blocks' config, made on the first call and the same object after.
+
+        Kept outside the fields, so settings and equality ignore it; the
+        config cannot change, and neither can the spec it is made from.
+        """
+        cfg = self.__dict__.get("_block_config")
+        if cfg is None:
+            cfg = ImplicitBlockConfig(
+                theta=self.theta,
+                h=self.h,
+                activation=self.activation,
+                paper_param_grad=self.paper_param_grad,
+            )
+            object.__setattr__(self, "_block_config", cfg)
+        return cfg
 
 
 @dataclass
@@ -425,6 +434,8 @@ def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
     """
     rng = numkit.make_rng(cfg.seed)
     params = [p for _, p in named_parameters(m)]
+    # A 0-d array, not a float: a Python scalar costs more per NumPy call.
+    lr = np.array(cfg.learning_rate, dtype=float)
     x_train = np.asarray(train_set.inputs, dtype=float)
     t_train = np.asarray(train_set.targets, dtype=float)
     n = x_train.shape[0]
@@ -447,8 +458,9 @@ def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
                 _, data, grads, _ = _loss_and_grad_arrays(
                     m, x_train[idx].T, t_train[idx].T, cfg.loss, cfg.reversible
                 )
+                # Each gradient is the step's own, so it is scaled in place.
                 for p, g in zip(params, grads):
-                    p -= cfg.learning_rate * g
+                    p -= np.multiply(g, lr, out=g)
                 batch_losses.append(data)
             batch = None
             val_loss, val_acc = evaluate(m, val_set.inputs, val_set.targets, cfg.loss)

@@ -48,7 +48,7 @@ def solve_many(mats, rhs) -> np.ndarray:
         sol = np.linalg.solve(mats, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from None
-    if not np.isfinite(sol).all():
+    if not np.logical_and.reduce(np.isfinite(sol), None):
         raise SingularMatrixError("linear solve produced non-finite values")
     return sol
 

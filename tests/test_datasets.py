@@ -133,3 +133,29 @@ class TestCsvRoundTrip:
         ls = LabeledSet(rng.standard_normal((n, 3)) * 10.0**rng.integers(-8, 8),
                         rng.standard_normal((n, 2)), SetKind.REGRESSION)
         assert_reads_back(ls, tmp_path_factory.mktemp("csv") / "x.csv")
+
+
+class TestLabeledSetShapes:
+    @pytest.mark.parametrize(
+        "inputs, targets, width",
+        [
+            (np.zeros((5, 1)), np.arange(5.0), 1),
+            (np.zeros(5), np.arange(5.0)[:, None], 1),
+            (np.zeros(5), np.arange(5.0), 1),
+            (np.zeros((5, 2)), np.arange(5.0), 2),
+        ],
+    )
+    def test_one_dimensional_array_is_one_column(self, inputs, targets, width):
+        ls = LabeledSet(inputs, targets, SetKind.REGRESSION)
+        assert len(ls) == 5
+        assert ls.inputs.shape == (5, width)
+        assert ls.targets.shape == (5, 1)
+        np.testing.assert_array_equal(ls.targets[:, 0], np.arange(5.0))
+
+    def test_scalar_is_one_sample(self):
+        ls = LabeledSet(0.5, 1.0, SetKind.REGRESSION)
+        assert ls.inputs.shape == ls.targets.shape == (1, 1)
+
+    def test_counts_still_checked(self):
+        with pytest.raises(InvalidCountError, match="5 inputs vs 4 targets"):
+            LabeledSet(np.zeros(5), np.zeros(4), SetKind.REGRESSION)

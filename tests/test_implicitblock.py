@@ -283,14 +283,24 @@ class TestForward:
             r = y - x - 0.5 * h * (block_fn(p, act, x) + block_fn(p, act, y))
             assert np.abs(r).max() <= cfg.solver_tol, (n, batch, h, act)
 
-    def test_linear_block_matches_closed_form(self):
+    # A NaN Armijo constant fails every sufficient-decrease test. An
+    # identity block's one full Newton step lands on the root and is taken
+    # on the tolerance test alone, so the constant is never read: each solve
+    # is one stacked solve and three F evaluations (F(x), F at the start and
+    # F at the step).
+    @pytest.mark.parametrize("armijo_c", [implicitblock.ARMIJO_C, float("nan")])
+    def test_linear_block_matches_closed_form(self, monkeypatch, f_evals, solves, armijo_c):
+        monkeypatch.setattr(implicitblock, "ARMIJO_C", armijo_c)
         rng = numkit.make_rng(4)
         for _ in range(20):
             n = int(rng.integers(1, 7))
             cfg, p = random_block(rng, n, act=ActivationKind.IDENTITY, theta=0.5, h=0.3, scale_to=0.5)
             w = p.effective_weight()
             x = rng.standard_normal(n)
+            f_evals.clear()
+            solves.clear()
             y, _ = forward(cfg, p, x)
+            assert (len(solves), len(f_evals)) == (1, 3)
             lhs = np.eye(n) - cfg.theta * cfg.h * w
             rhs = (np.eye(n) + (1 - cfg.theta) * cfg.h * w) @ x + cfg.h * p.b
             expected = np.linalg.solve(lhs, rhs)

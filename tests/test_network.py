@@ -847,6 +847,41 @@ class TestStackedStorage:
         assert list(twin.blocks.a[:, 0, 0]) == [0.0, 1.0, 2.0]
 
 
+class TestBlockConfig:
+    """The blocks' config and its 0-d coefficients are made once per spec and cannot be written."""
+
+    @pytest.mark.parametrize("reversible", [False, True])
+    def test_made_once_and_read_only(self, monkeypatch, reversible):
+        spec = small_spec(theta=0.3, horizon=0.8)
+        m = init_model(spec, 0)
+        cfg = m.spec.block_config()
+        assert m.spec.block_config() is cfg
+        assert copy.deepcopy(m).spec.block_config() is cfg
+        h, theta = spec.h, spec.theta
+        expected = {
+            "coef_h": h, "coef_x": h * (1.0 - theta), "coef_y": h * theta,
+            "neg_h": -h, "neg_x": -(h * (1.0 - theta)),
+        }
+        operands = [getattr(cfg, name) for name in expected]
+        operands += [implicitblock._ZERO, implicitblock._ONE, implicitblock._HALF]
+        for name, value in expected.items():
+            assert getattr(cfg, name).shape == () and getattr(cfg, name) == value, name
+        for operand in operands:
+            with pytest.raises(ValueError):
+                operand[...] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.h = 1.0
+
+        batch = [(np.array([0.1, -0.2]), np.array([0.3])), (np.array([0.5, 0.4]), np.array([-0.1]))]
+        train_cfg = TrainConfig(0.1, 1, 2, reversible=reversible)
+        loss_and_grad(m, batch, train_cfg)
+        made = []
+        const = implicitblock._const
+        monkeypatch.setattr(implicitblock, "_const", lambda v: made.append(v) or const(v))
+        loss_and_grad(m, batch, train_cfg)
+        assert made == [] and m.spec.block_config() is cfg
+
+
 class TestOneGradientFormula:
     """The stacked block gradients equal, bit for bit, the per-block ``backward``
     results plus the regularizer gradient: one formula serves both."""
