@@ -18,8 +18,15 @@ Both directions solve the same kind of equation, ``z = c + alpha F(z)``:
 reads the activation to choose their order:
 
 - ``_sweeps``: fixed-point sweeps ``z <- c + alpha F(z)``, which contract
-  at rate ``|alpha| L`` for L-Lipschitz F, until one meets the tolerance
-  or shrinks the residual by less than ``SWEEP_RATE``;
+  at rate ``|alpha| L`` for L-Lipschitz F. They run on the pre-activation:
+  with ``t = F(z)``, a sweep is ``t <- act(alpha W t + (W c + b))``, three
+  NumPy calls. The residual is read once per run of sweeps: at the start,
+  one sweep later for a first contraction rate, then at the end of each
+  run, whose length that rate predicts to reach the tolerance. A read
+  forms ``z`` and makes ``F(z)`` afresh, and only a read accepts, so the
+  pair a solve returns meets the tolerance by the residual test itself,
+  never by an estimate. A run whose mean contraction per sweep is not
+  below ``SWEEP_RATE`` hands over;
 - ``_newton``: damped Newton on ``r(z) = z - c - alpha F(z)``. Each step
   solves ``(I - alpha diag(F'(z)) W) d = r`` for every column in one
   stacked solve. A full step whose residual meets the tolerance is taken
@@ -78,7 +85,8 @@ and consumes the tape. Only once it has released the weight stack does it
 make the unscaled parameter-gradient rows it returns, one batched product
 per route; ``param_grads`` scales, sums and skew-projects all the rows at
 once. The reversible path, ``pull_back_rebuilt``, rebuilds one block at a
-time with ``reconstruct_input`` and ``make_tape``, runs ``pull_back_stack``
+time with ``reconstruct_input`` and ``make_tape``, both handed the block's
+W made once into a reused row, runs ``pull_back_stack``
 on that block's tape as a stack of one, and folds the block's routes into
 its finished row at once, so it returns finished gradients.
 
@@ -94,6 +102,7 @@ call. The step's coefficients are made once per config
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -110,16 +119,21 @@ SOLVER_MAX_ITER = 100
 # most step halvings tried before a step counts as failed.
 ARMIJO_C = 1e-4
 MAX_HALVINGS = 40
-# A sweep that shrinks the residual by less than this factor hands over to
-# Newton. Tanh and sigmoid blocks contract at about 0.1-0.2 per sweep, where
-# a sweep costs a fraction of a Newton step's stacked linear solve and
-# sweeps stay cheaper. A piecewise-linear block starts with
-# EARLY_NEWTON_STEPS Newton steps instead, since Newton lands on its root
-# once the activation pattern holds; if they miss, it sweeps from its start
-# under this rule. The cap keeps a failing solve's cost near the rule's
-# own: uncapped, the median F evaluations per failing solve of
-# scripts/block_sweep.py nearly doubled.
+# A run of sweeps whose mean contraction per sweep is not below this factor
+# hands over to Newton. Tanh and sigmoid blocks contract at about 0.1-0.2
+# per sweep, where a sweep costs a fraction of a Newton step's stacked
+# linear solve and sweeps stay cheaper. Each run after the first sweep is
+# RUN_MARGIN times the count that the last read's contraction predicts for
+# the residual to reach the tolerance: longer runs waste sweeps, shorter
+# ones pay for more residual reads. The rates only size runs and decide
+# handovers; a solve is accepted on a residual read alone. A
+# piecewise-linear block starts with EARLY_NEWTON_STEPS Newton steps
+# instead, since Newton lands on its root once the activation pattern
+# holds; if they miss, it sweeps from its start under this rule. The cap
+# keeps a failing solve's cost near the rule's own: uncapped, the median F
+# evaluations per failing solve of scripts/block_sweep.py nearly doubled.
 SWEEP_RATE = 0.3
+RUN_MARGIN = 1.3
 EARLY_NEWTON_STEPS = 3
 
 
@@ -404,9 +418,9 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what, v, s):
     of the phases, as the module docstring says; a failed early Newton
     makes the start again, F(v) with it, in the start array.
 
-    The start array is the solver's to write. The sweeps take turns between
-    it and one row of their own, and Newton keeps its iterate in it, so a
-    caller that still holds the start holds no array the solver has left.
+    The start array is the solver's to write. The sweeps form each iterate
+    they read in it, and Newton keeps its iterate in it, so a caller that
+    still holds the start holds no array the solver has left.
     """
     if act is ActivationKind.IDENTITY or act is ActivationKind.RELU:
         z, fz, res = _newton(act, w, b, c, alpha, z, act.apply(_affine(w, b, z)), EARLY_NEWTON_STEPS)
@@ -431,45 +445,67 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what, v, s):
     )
 
 
+def _residual(c, alpha, z, fz, out) -> float:
+    """``max |c + alpha F(z) - z|``, made in the row ``out``: the test that accepts a swept solve."""
+    np.multiply(fz, alpha, out=out)
+    out += c
+    out -= z
+    return float(np.maximum.reduce(np.abs(out, out=out), None))
+
+
 def _sweeps(act, w, b, c, alpha, z):
     """Fixed-point sweeps from the start array ``z``; returns ``(z, F(z), residual)``.
 
-    They stop at the first sweep that meets the tolerance or shrinks the
-    residual by less than ``SWEEP_RATE``. A missed solve comes back in the
-    start array, where Newton keeps its iterate.
+    The sweeps run on the pre-activation: with ``t = F(z)`` in hand, the
+    next iterate's F is ``act(alpha W t + (W c + b))``, three NumPy calls,
+    and z itself is not formed. The residual is read once per run of
+    sweeps, where the run's last sweep forms ``z = c + alpha t`` in the
+    start array and makes ``F(z)`` from it; a solve is accepted only on
+    that read, so the pair it returns meets the tolerance by the test
+    that ``_residual`` makes. The start's residual is read first, and one
+    sweep later a second read gives the first contraction rate. Each
+    later run is ``RUN_MARGIN`` times as long as that rate predicts for
+    the residual to reach the tolerance. A run whose mean contraction per
+    sweep is not below ``SWEEP_RATE`` hands over, as does a non-finite
+    start. The sweeps make at most ``SOLVER_MAX_ITER + 1`` F evaluations;
+    if they run out while still contracting, z steps past the last one and
+    F is made there again. A missed solve comes back in the start array,
+    where Newton keeps its iterate.
     """
-    start = z
-    # The update z_next = c + alpha F(z) makes |z_next - z| exactly the
-    # residual norm of the current iterate. The handover test is also true
-    # for an infinite or NaN residual. F(z) is made fresh each sweep,
-    # because the converged one is returned. The bias is broadcast once,
-    # into a row that each sweep adds with a same-shape add: NumPy buffers
-    # a broadcast operand on every add.
-    bias = np.empty_like(z)
-    bias[...] = b[:, None]
-    z_next, diff = np.empty_like(z), np.empty_like(z)
-    prev = np.inf
-    for _ in range(SOLVER_MAX_ITER + 1):
-        fz = np.dot(w, z)
-        fz += bias
-        act.apply(fz)
-        np.multiply(fz, alpha, out=z_next)
-        z_next += c
-        np.subtract(z_next, z, out=diff)
-        res = float(np.maximum.reduce(np.abs(diff, out=diff), None))
-        if res <= SOLVER_TOL:
+    fz = act.apply(_affine(w, b, z))
+    # Spent rows take turns: an F row, once the next F is made, takes the
+    # residual or the next pre-activation.
+    row = np.empty_like(z)
+    res = _residual(c, alpha, z, fz, row)
+    if res <= SOLVER_TOL or not res < math.inf:
+        return z, fz, res
+    aw = base = None
+    run, left = 1, SOLVER_MAX_ITER
+    while left:
+        run = min(run, left)
+        left -= run
+        t = fz
+        for _ in range(run - 1):
+            np.dot(aw, t, out=row)
+            row += base
+            t, row = act.apply(row), t
+        np.multiply(t, alpha, out=z)
+        z += c
+        # As _affine makes it: the pair a read accepts is bitwise (z, act(W z + b)).
+        np.dot(w, z, out=row)
+        row += b[:, None]
+        fz, row = act.apply(row), t
+        prev, res = res, _residual(c, alpha, z, fz, row)
+        if res <= SOLVER_TOL or not res < SWEEP_RATE**run * prev:
             return z, fz, res
-        if not res < SWEEP_RATE * prev:
-            break
-        prev = res
-        z, z_next = z_next, z
-    else:
-        # Every sweep contracted fast but ran out of iterations: z moved
-        # past the last F evaluation.
-        fz = act.apply(_affine(w, b, z))
-    if z is not start:
-        start[...] = z
-    return start, fz, res
+        run = math.ceil(RUN_MARGIN * run * math.log(SOLVER_TOL / res) / math.log(res / prev))
+        if aw is None:
+            aw = np.multiply(w, alpha)
+            base = _affine(w, b, c)
+    # Out of sweeps while still contracting: z steps past the last F.
+    np.multiply(fz, alpha, out=z)
+    z += c
+    return z, act.apply(_affine(w, b, z)), res
 
 
 def _newton(act, w, b, c, alpha, z, fz, steps):
@@ -701,7 +737,9 @@ def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g):
     ``(L, n)`` row set, as ``param_grads`` folds a whole stack, so one
     block's tape and routes are alive at a time, next to the finished rows.
     The stack of effective weights is not kept: holding it through backward
-    would raise the step's peak memory.
+    would raise the step's peak memory. Each block's W is made once, into
+    one reused row, and handed to both
+    ``reconstruct_input`` and ``make_tape`` as a raw-mode block.
 
     Returns ``(grad_x, grad_a, grad_b)``: the gradient at the first block's
     input and the finished parameter gradients, stacked by block and owning
@@ -711,8 +749,11 @@ def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g):
     """
     depth, width = blocks.b.shape
     grad_w, grad_b = np.empty((depth, width, width)), np.empty((depth, width))
+    # One W row, written in the loop: a generator such as _weights_in_turn
+    # keeps about 0.8 KiB more alive through a spirals-reversible step.
+    w = np.empty((width, width)) if blocks.mode is WeightMode.SKEW_SYMMETRIC else None
     for i in range(depth - 1, -1, -1):
-        blk = blocks[i]
+        blk = BlockParams(blocks.a[i] if w is None else _skew(blocks.a[i], w), blocks.b[i])
         try:
             x = reconstruct_input(cfg, blk, y)
             tape = make_tape(cfg, blk, x, y)

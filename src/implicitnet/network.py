@@ -14,6 +14,11 @@ layers' parameter vectors,
 with ``w_k`` the concatenation of layer k's matrix and bias entries. Lift
 and projection parameters stay outside both the regularizer and the
 block-parameter counts.
+
+``train``, ``evaluate`` and ``loss_and_grad`` each run under one
+``np.errstate`` that turns NumPy's overflow, invalid and divide warnings
+off. A state that blows up is judged by the package's own typed checks:
+``NonFiniteLossError`` for the loss, ``SolverDivergedError`` for a solve.
 """
 
 # Annotations are not postponed here: ``read_settings`` takes each field's
@@ -392,6 +397,7 @@ def _loss_and_grad_arrays(
     return total, data, grads, m.lift.w.T @ d_hid
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def loss_and_grad(m: Model, batch, cfg: TrainConfig) -> tuple[float, list[np.ndarray]]:
     """Mean loss plus regularizer over a batch of ``(x, target)`` pairs.
 
@@ -406,6 +412,7 @@ def loss_and_grad(m: Model, batch, cfg: TrainConfig) -> tuple[float, list[np.nda
     return total, grads
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def evaluate(m: Model, inputs: np.ndarray, targets: np.ndarray, kind: LossKind):
     """Mean data loss over ``(N, input_dim)`` inputs and ``(N, output_dim)`` targets.
 
@@ -424,6 +431,7 @@ def evaluate(m: Model, inputs: np.ndarray, targets: np.ndarray, kind: LossKind):
     return loss, accuracy
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(m: Model, train_set, val_set, cfg: TrainConfig) -> TrainRecord:
     """Mini-batch gradient descent; mutates ``m`` in place.
 

@@ -16,11 +16,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-# probing the explicit network's divergence regime overflows on purpose
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:overflow encountered", "ignore:invalid value encountered"
-)
-
 from implicitnet import numkit
 from implicitnet.cli import load_experiment
 from implicitnet.errors import SolverDivergedError

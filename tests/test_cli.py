@@ -213,7 +213,6 @@ class TestTrainCommand:
         main(["train", str(cfg2)])
         assert (tmp_path / "r1/history.csv").read_bytes() == (tmp_path / "r2/history.csv").read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_diverged_run_exits_4_with_history(self, tmp_path, capsys):
         cfg = small_config(tmp_path, train={"learning_rate": 1e8, "epochs": 5})
         assert main(["train", str(cfg)]) == 4

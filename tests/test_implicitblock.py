@@ -1,12 +1,17 @@
+import contextlib
+import dataclasses
 import gc
 import weakref
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implicitnet import implicitblock, numkit
+from implicitnet import implicitblock, network, numkit
+from implicitnet.cli import build_data, load_experiment
 from implicitnet.errors import (
     DimensionMismatchError,
     SingularMatrixError,
@@ -29,6 +34,9 @@ from implicitnet.implicitblock import (
     reconstruct_input,
     solve_stack,
 )
+
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def scalar_block(w=0.5, theta=0.5, h=1.0, **kw):
@@ -63,6 +71,45 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(numkit, "solve_many", counted)
     return calls
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """A list that grows by one entry per residual read of the sweeps."""
+    calls = []
+    residual = implicitblock._residual
+
+    def counted(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(implicitblock, "_residual", counted)
+    return calls
+
+
+@contextlib.contextmanager
+def exact_solves():
+    """Check every pair ``(z, F(z))`` that ``_solve_fixed_point`` returns.
+
+    ``F(z)`` must be bitwise what ``act(W z + b)`` makes from the returned
+    ``z``, and the pair must meet ``SOLVER_TOL`` by the residual that the
+    sweeps or Newton compute from it. Yields a list that grows by one entry
+    per checked pair.
+    """
+    pairs = []
+    solve = implicitblock._solve_fixed_point
+
+    def checked(act, w, b, c, alpha, *args):
+        z, fz = solve(act, w, b, c, alpha, *args)
+        assert np.array_equal(fz, act.apply(implicitblock._affine(w, b, z)))
+        swept = np.abs(np.multiply(fz, alpha) + c - z).max()
+        newton = np.abs(z - c - alpha * fz).max()
+        assert swept <= implicitblock.SOLVER_TOL or newton <= implicitblock.SOLVER_TOL, (swept, newton)
+        pairs.append(1)
+        return z, fz
+
+    with mock.patch.object(implicitblock, "_solve_fixed_point", checked):
+        yield pairs
 
 
 def random_block(rng, n, mode=WeightMode.RAW, act=ActivationKind.TANH, theta=0.5, h=0.1, scale_to=None):
@@ -392,6 +439,98 @@ class TestForward:
         for i in range(6):
             yi, _ = forward(cfg, p, xb[:, i])
             assert np.abs(yb[:, i] - yi).max() <= 1e-9
+
+
+class TestSweepRuns:
+    """The sweeps read the residual once per run, and only a read accepts."""
+
+    def test_blown_up_training_returns_only_exact_pairs(self):
+        # ex1_trapezoidal from init and shuffle seed 374 blows up in its
+        # first epoch, with states up to 1e16 in ReLU blocks whose early
+        # Newton misses and which then sweep. There a sweep moves the
+        # pre-activation by less than the tolerance while z still moves by
+        # more: accepted on that estimate, two solves returned residuals of
+        # 1.0 and 1.7e10.
+        spec, cfg, data_cfg, _ = load_experiment(REPO / "configs" / "ex1_trapezoidal.json")
+        train_set, val_set = build_data(data_cfg)
+        with exact_solves() as pairs:
+            rec = network.train(network.init_model(spec, 374), train_set, val_set, dataclasses.replace(cfg, seed=374))
+        assert isinstance(rec.failure.error, SolverDivergedError)
+        assert pairs
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(list(ActivationKind)),
+        st.sampled_from([0.5, 1.0]),
+        st.sampled_from(list(WeightMode)),
+        st.integers(0, 18),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_returned_pair_is_exact(self, act, theta, mode, exponent, seed):
+        # Weights at 0.5-4 times Glorot's scale, h = 0.2 and inputs of
+        # scale 1 to 1e18, forward and back: a solve may fail, but every
+        # pair it returns is exact. About one draw in twelve has an
+        # identity or ReLU block sweep at a scale where an estimate would
+        # accept a pair whose residual misses the tolerance.
+        rng = numkit.make_rng(seed)
+        n, batch = int(rng.choice([5, 6])), int(rng.choice([1, 4, 32]))
+        a = rng.uniform(0.5, 4.0) * numkit.glorot_uniform(rng, n, n)
+        p = BlockParams(a, rng.uniform(-0.5, 0.5, n), mode)
+        cfg = ImplicitBlockConfig(theta=theta, h=0.2, activation=act)
+        x = 10.0**exponent * rng.standard_normal((n, batch))
+        with exact_solves(), np.errstate(over="ignore", invalid="ignore"):
+            try:
+                y, _ = forward(cfg, p, x)
+                reconstruct_input(cfg, p, y)
+            except SolverDivergedError:
+                pass
+
+    def test_warm_spirals_block_reads_three_residuals(self, f_evals, reads):
+        # Block 3 of the spirals model (n = 6, B = 32, theta = 0.5,
+        # h = 0.2, tanh) once warm: the start's read, the rate read one
+        # sweep later and the read that ends the one predicted run. The run
+        # is longer than the prediction by RUN_MARGIN, which costs at most
+        # two F evaluations over a rule that reads after every sweep.
+        spec, cfg, data_cfg, _ = load_experiment(REPO / "configs" / "ex2_trapezoidal.json")
+        train_set, val_set = build_data(data_cfg)
+        m = network.init_model(spec, cfg.seed)
+        network.train(m, train_set, val_set, dataclasses.replace(cfg, epochs=5, reversible=True))
+        _, tapes = network.model_forward(m, train_set.inputs[:32].T)
+        block_cfg, p, x = m.spec.block_config(), m.blocks[3], tapes[3].x.copy()
+        assert (block_cfg.theta, block_cfg.h, x.shape) == (0.5, 0.2, (6, 32))
+        per_sweep = 1 + self.sweeps_read_one_by_one(block_cfg, p, x)
+        f_evals.clear()
+        reads.clear()
+        forward(block_cfg, p, x)
+        assert len(reads) <= 3
+        assert len(f_evals) <= per_sweep + 2, (len(f_evals), per_sweep)
+
+    @staticmethod
+    def sweeps_read_one_by_one(cfg, p, x):
+        """The sweeps a solve takes from ``x + h F(x)`` if it reads after every sweep."""
+        fx = block_fn(p, cfg.activation, x)
+        c = x + cfg.coef_x * fx
+        z = x + cfg.coef_h * fx
+        for k in range(1, implicitblock.SOLVER_MAX_ITER + 2):
+            z_next = c + cfg.coef_y * block_fn(p, cfg.activation, z)
+            if np.abs(z_next - z).max() <= cfg.solver_tol:
+                return k
+            z = z_next
+        raise AssertionError("the sweeps did not converge")
+
+    def test_slow_run_hands_over_after_the_rate_read(self, reads, solves):
+        # tanh is nearly the identity near 0, so with alpha W = 0.6 I the
+        # sweeps contract at about 0.6 per sweep, above SWEEP_RATE: the
+        # start's read and the rate read one sweep later are the only
+        # reads, and Newton finishes the solve.
+        p = BlockParams(1.2 * np.eye(3), np.zeros(3))
+        cfg = ImplicitBlockConfig(theta=0.5, h=1.0, activation=ActivationKind.TANH)
+        x = np.array([0.05, -0.02, 0.01])
+        y, _ = forward(cfg, p, x)
+        assert len(reads) == 2
+        assert solves
+        r = y - x - 0.5 * (block_fn(p, cfg.activation, x) + block_fn(p, cfg.activation, y))
+        assert np.abs(r).max() <= cfg.solver_tol
 
 
 class TestSolveStack:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -319,7 +320,6 @@ class TestLossAndGrad:
         with pytest.raises(ValueError):
             loss_and_grad(m, [], TrainConfig(0.1, 1, 1))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_loss_raises(self):
         from implicitnet.errors import NonFiniteLossError
 
@@ -343,7 +343,6 @@ class TestLossAndGrad:
         with pytest.raises(NonFiniteLossError, match="^loss is inf$"):
             loss_and_grad(m, batch, TrainConfig(0.1, 1, 1, reversible=reversible))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_infinite_penalty_on_a_finite_data_loss_raises(self):
         # One huge weight saturates tanh, so the data loss stays finite, but
         # its square overflows the smoothness penalty. The penalty runs after
@@ -497,7 +496,6 @@ class TestTrain:
         median = np.median(np.array(curves), axis=0)
         assert all(median[k + 1] < median[k] for k in range(4))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_divergence_flag_on_blowup(self):
         spec = ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=2, theta=0.0)
         m = init_model(spec, 0)
@@ -542,11 +540,15 @@ class TestTrain:
     # Seed 164's small residual reads like a near-converged solve until the
     # message shows the state's scale, at which an absolute tolerance of
     # 1e-10 is below float resolution. Both residuals depend on where each
-    # solve starts and when it hands over to Newton, so a change of either
-    # moves them.
+    # solve starts, how it sweeps and when it hands over to Newton, so a
+    # change of any of these moves them. Seed 374 fails in layer 1, whose
+    # ReLU block falls back to sweeps at max |z| 5.8e16: sweeps made in z
+    # alone land bitwise on a floating-point fixed point there and read a
+    # zero residual, but a run on the pre-activation reads 1.0 at its end
+    # and hands over to Newton, which stalls at 4.0.
     @pytest.mark.parametrize("seed, batch, layer, residual, scale", [
         (164, 8, 1, "7.153e-07", "1.644e+08"),
-        (374, 3, 2, "6.554e+04", "1.082e+21"),
+        (374, 3, 1, "4.000e+00", "5.800e+16"),
     ])
     def test_blown_up_solve_shows_the_state_scale(self, seed, batch, layer, residual, scale):
         # The failure also keeps the failing batch's rows and the epoch's
@@ -567,6 +569,22 @@ class TestTrain:
         )
         assert failure.indices == indices
         assert [f"{loss:.3g}" for loss in failure.batch_losses] == losses
+
+    def test_blown_up_explicit_run_fails_typed_without_a_warning(self):
+        # ex1_resnet at learning rate 100 overflows its loss in epoch 1,
+        # batch 2. NumPy's overflow warnings are off inside train, so the
+        # typed failure is all that reaches the caller.
+        spec, cfg, data_cfg, _ = load_experiment(REPO / "configs" / "ex1_resnet.json")
+        train_set, val_set = build_data(data_cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = train(
+                init_model(spec, 0), train_set, val_set,
+                dataclasses.replace(cfg, learning_rate=100.0, epochs=3, seed=0),
+            )
+        failure = rec.failure
+        assert (failure.epoch, failure.batch) == (1, 2)
+        assert isinstance(failure.error, NonFiniteLossError)
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(ValueError, match="seed"):
