@@ -35,7 +35,7 @@ from implicitnet.errors import SolverDivergedError
 from implicitnet.implicitblock import (
     SOLVER_TOL,
     ActivationKind,
-    BlockParams,
+    BlockStack,
     ImplicitBlockConfig,
     WeightMode,
     block_fn,
@@ -48,14 +48,14 @@ MODES = [WeightMode.RAW, WeightMode.SKEW_SYMMETRIC]
 
 
 def draw_blocks(count: int):
-    """Yield ``(cfg, params, x, scale)`` for each block of the sweep."""
+    """Yield ``(cfg, params, x, scale)`` for each block of the sweep; ``params`` is a stack of one."""
     rng = numkit.make_rng(SEED)
     for _ in range(count):
         n, batch = int(rng.choice([5, 6])), int(rng.choice([1, 4, 32]))
         theta, h = float(rng.choice([0.5, 1.0])), float(rng.choice([0.2, 0.6, 1.0]))
         act, mode = ACTIVATIONS[int(rng.integers(len(ACTIVATIONS)))], MODES[int(rng.integers(2))]
         scale = float(rng.uniform(0.5, 4.0))
-        params = BlockParams(scale * numkit.glorot_uniform(rng, n, n), rng.uniform(-0.5, 0.5, n), mode)
+        params = BlockStack([scale * numkit.glorot_uniform(rng, n, n)], [rng.uniform(-0.5, 0.5, n)], mode)
         yield ImplicitBlockConfig(theta=theta, h=h, activation=act), params, rng.standard_normal((n, batch)), scale
 
 

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .implicitblock import (
     ActivationKind,
-    BlockParams,
+    BlockStack,
     ImplicitBlockConfig,
     TapeEntry,
     WeightMode,

@@ -69,9 +69,11 @@ they treat as a batch of one and return in its own shape; a block's
 tape always holds ``(n, B)`` arrays. Parameter gradients returned by
 ``backward`` are summed over the batch.
 
-``forward`` and ``backward`` are thin wrappers over the array-level core
-that a network runs, one loop per direction over every block. A single
-block is a stack of one, so every path uses the same formulas.
+Parameters come in one type, ``BlockStack``, and a single block is a
+stack of one: ``block_fn``, ``forward``, ``backward``, ``make_tape`` and
+``reconstruct_input`` take one. ``forward`` and ``backward`` are thin
+wrappers over the array-level core that a network runs, one loop per
+direction over every block, so every path uses the same formulas.
 ``solve_stack`` takes a ``BlockStack``. With a tape it builds every
 block's effective weight at once, since the tape keeps them all, writes
 each block's output, F(x) and F(y) into rows it makes up front, and takes
@@ -85,10 +87,11 @@ and consumes the tape. Only once it has released the weight stack does it
 make the unscaled parameter-gradient rows it returns, one batched product
 per route; ``param_grads`` scales, sums and skew-projects all the rows at
 once. The reversible path, ``pull_back_rebuilt``, rebuilds one block at a
-time with ``reconstruct_input`` and ``make_tape``, both handed the block's
-W made once into a reused row, runs ``pull_back_stack``
-on that block's tape as a stack of one, and folds the block's routes into
-its finished row at once, so it returns finished gradients.
+time with ``reconstruct_input`` and ``make_tape``, both handed one
+raw-mode stack of one whose rows take each block's W, made once, and b,
+runs ``pull_back_stack`` on that block's tape as a stack of one, and folds
+the block's routes into its finished row at once, so it returns finished
+gradients.
 
 At the package's sizes (width 5-6, batch 4-32) each NumPy call costs more
 than its arithmetic, so the solve and backward loops keep one operand
@@ -205,60 +208,49 @@ class WeightMode(Enum):
     SKEW_SYMMETRIC = "skew"
 
 
-@dataclass
-class BlockParams:
-    """One layer's parameters: pre-skew matrix ``a`` and bias ``b``."""
-
-    a: np.ndarray
-    b: np.ndarray
-    mode: WeightMode = WeightMode.RAW
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
-            raise DimensionMismatchError(f"block matrix must be square, got {self.a.shape}")
-        if self.b.shape != (self.a.shape[0],):
-            raise DimensionMismatchError(
-                f"bias shape {self.b.shape} does not match width {self.a.shape[0]}"
-            )
-
-    @property
-    def width(self) -> int:
-        return self.a.shape[0]
-
-    def effective_weight(self) -> np.ndarray:
-        """``W = a - a.T`` in skew-symmetric mode (``W + W.T == 0`` exactly), else ``a``."""
-        return _effective_weight(self.a, self.mode)
-
-
 @dataclass(frozen=True)
 class BlockStack:
     """Every block's parameters, stacked: ``a`` is ``(L, n, n)`` and ``b`` is ``(L, n)``.
 
-    ``stack[i]`` and iteration give block ``i`` as ``BlockParams`` whose
-    arrays are views into the stacks, so writes through them land here. The
-    views are made on each access and never stored, so a deep copy holds
-    only its own stacks. The arrays are updated in place; the fields cannot
-    be replaced.
+    A single block is a stack of one. The arrays are made float and their
+    shapes checked once, here. ``stack[i]`` and iteration give block ``i``
+    as a stack of one viewing rows ``i:i+1``, so writes through it land
+    here. The views are made on each access and never stored, so a deep
+    copy holds only its own stacks. The arrays are updated in place; the
+    fields cannot be replaced.
     """
 
     a: np.ndarray
     b: np.ndarray
     mode: WeightMode = WeightMode.RAW
 
+    def __post_init__(self):
+        a = np.asarray(self.a, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        if a.ndim != 3 or a.shape[1] != a.shape[2]:
+            raise DimensionMismatchError(f"block matrices must stack as (L, n, n), got {a.shape}")
+        if b.shape != a.shape[:2]:
+            raise DimensionMismatchError(f"bias shape {b.shape} does not match the matrices' {a.shape[:2]}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    @property
+    def width(self) -> int:
+        return self.a.shape[1]
+
     def __len__(self) -> int:
         return len(self.a)
 
-    def __getitem__(self, i: int) -> BlockParams:
-        return BlockParams(self.a[i], self.b[i], self.mode)
+    def __getitem__(self, i: int) -> BlockStack:
+        i = range(len(self))[i]
+        return BlockStack(self.a[i : i + 1], self.b[i : i + 1], self.mode)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
     def effective_weight(self) -> np.ndarray:
-        """Every block's ``W``, stacked like ``a``."""
-        return _effective_weight(self.a, self.mode)
+        """Every block's ``W``, stacked like ``a``: ``a - a^T`` in skew-symmetric mode, else ``a``."""
+        return _skew(self.a) if self.mode is WeightMode.SKEW_SYMMETRIC else self.a
 
 
 def _skew(a: np.ndarray, out=None) -> np.ndarray:
@@ -272,11 +264,6 @@ def _skew(a: np.ndarray, out=None) -> np.ndarray:
         out = np.empty_like(a)
     out[...] = a.swapaxes(-1, -2)
     return np.subtract(a, out, out=out)
-
-
-def _effective_weight(a: np.ndarray, mode: WeightMode) -> np.ndarray:
-    """``W`` of one pre-skew matrix or a stack: ``a - a^T`` in skew-symmetric mode, else ``a``."""
-    return _skew(a) if mode is WeightMode.SKEW_SYMMETRIC else a
 
 
 @dataclass(frozen=True)
@@ -355,8 +342,10 @@ class TapeEntry:
         return TapeEntry(self.x[i], self.y[i], self.sx[i], sy, self.w[i])
 
 
-def _columns(params: BlockParams, v) -> np.ndarray:
-    """Validate a state ``(n,)`` or batch ``(n, B)`` and return it as ``(n, B)``."""
+def _columns(params: BlockStack, v) -> np.ndarray:
+    """Validate a state ``(n,)`` or batch ``(n, B)`` of a stack of one and return it as ``(n, B)``."""
+    if len(params.a) != 1:
+        raise DimensionMismatchError(f"a single block is a stack of one, got {len(params.a)} blocks")
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != params.width:
         raise DimensionMismatchError(
@@ -380,9 +369,10 @@ def _affine(w: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_fn(params: BlockParams, act: ActivationKind, v) -> np.ndarray:
-    """Evaluate ``F(v) = act(W v + b)``."""
-    return _like(act.apply(_affine(params.effective_weight(), params.b, _columns(params, v))), v)
+def block_fn(params: BlockStack, act: ActivationKind, v) -> np.ndarray:
+    """Evaluate ``F(v) = act(W v + b)`` for the block of a stack of one."""
+    vc = _columns(params, v)
+    return _like(act.apply(_affine(params.effective_weight()[0], params.b[0], vc)), v)
 
 
 _EYE_CACHE: dict[int, np.ndarray] = {}
@@ -640,15 +630,15 @@ def solve_stack(cfg: ImplicitBlockConfig, blocks: BlockStack, x: np.ndarray, kee
     return states[-1].copy(), TapeEntry(states[:-1], states[1:], fxs, fys, ws)
 
 
-def forward(cfg: ImplicitBlockConfig, params: BlockParams, x) -> tuple[np.ndarray, TapeEntry]:
-    """Solve the block equation for ``y`` and cache what backward needs.
+def forward(cfg: ImplicitBlockConfig, params: BlockStack, x) -> tuple[np.ndarray, TapeEntry]:
+    """Solve the equation of the block of a stack of one for ``y`` and cache what backward needs.
 
     The returned ``y`` satisfies
     ``max |y - x - h(1-theta)F(x) - h theta F(y)| <= SOLVER_TOL``.
     """
     xc = _columns(params, x)
     try:
-        y, tape = solve_stack(cfg, BlockStack(params.a[None], params.b[None], params.mode), xc, True)
+        y, tape = solve_stack(cfg, params, xc, True)
     except SolverDivergedError as exc:
         exc.layer = None  # a lone block is no network's layer
         raise
@@ -738,8 +728,8 @@ def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g):
     block's tape and routes are alive at a time, next to the finished rows.
     The stack of effective weights is not kept: holding it through backward
     would raise the step's peak memory. Each block's W is made once, into
-    one reused row, and handed to both
-    ``reconstruct_input`` and ``make_tape`` as a raw-mode block.
+    the row of one raw-mode stack of one that takes each block's W and b
+    in turn and is handed to both ``reconstruct_input`` and ``make_tape``.
 
     Returns ``(grad_x, grad_a, grad_b)``: the gradient at the first block's
     input and the finished parameter gradients, stacked by block and owning
@@ -749,17 +739,22 @@ def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g):
     """
     depth, width = blocks.b.shape
     grad_w, grad_b = np.empty((depth, width, width)), np.empty((depth, width))
-    # One W row, written in the loop: a generator such as _weights_in_turn
-    # keeps about 0.8 KiB more alive through a spirals-reversible step.
-    w = np.empty((width, width)) if blocks.mode is WeightMode.SKEW_SYMMETRIC else None
+    # One stack of one, whose rows the loop writes: a generator such as
+    # _weights_in_turn keeps about 0.8 KiB more alive through a spirals-reversible step.
+    blk = BlockStack(np.empty((1, width, width)), np.empty((1, width)))
     for i in range(depth - 1, -1, -1):
-        blk = BlockParams(blocks.a[i] if w is None else _skew(blocks.a[i], w), blocks.b[i])
+        if blocks.mode is WeightMode.SKEW_SYMMETRIC:
+            _skew(blocks.a[i], blk.a[0])
+        else:
+            blk.a[0] = blocks.a[i]
+        blk.b[0] = blocks.b[i]
         try:
             x = reconstruct_input(cfg, blk, y)
             tape = make_tape(cfg, blk, x, y)
-            g, gw, gb = pull_back_stack(
-                cfg, TapeEntry(x[None], y[None], tape.sx[None], tape.sy[None], tape.w[None]), g
-            )
+            # As a stack of one whose W is blk's own a (blk is raw-mode): the
+            # single-block tape and its view of that W go before the solve.
+            tape = TapeEntry(x[None], y[None], tape.sx[None], tape.sy[None], blk.a)
+            g, gw, gb = pull_back_stack(cfg, tape, g)
         except (SolverDivergedError, SingularMatrixError) as exc:
             exc.layer = i
             raise
@@ -768,7 +763,7 @@ def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g):
         del tape, gw, gb
         y = x
     # In skew-symmetric mode grad_a = grad_W - grad_W^T, the map that makes W from a.
-    return g, _effective_weight(grad_w, blocks.mode), grad_b
+    return g, _skew(grad_w) if blocks.mode is WeightMode.SKEW_SYMMETRIC else grad_w, grad_b
 
 
 def _fold_routes(cfg: ImplicitBlockConfig, gw, gb, out_w, out_b) -> None:
@@ -801,13 +796,14 @@ def param_grads(cfg: ImplicitBlockConfig, mode: WeightMode, gw, gb):
 
 def backward(
     cfg: ImplicitBlockConfig,
-    params: BlockParams,
+    params: BlockStack,
     tape: TapeEntry,
     grad_y,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pull a loss gradient back through the block.
+    """Pull a loss gradient back through the block of a stack of one.
 
-    Returns ``(grad_x, grad_a, grad_b)``. The only linear algebra beyond
+    Returns ``(grad_x, grad_a, grad_b)``, the last two of one block's
+    shapes, ``(n, n)`` and ``(n,)``. The only linear algebra beyond
     matrix products is one transposed solve against ``I - h theta dF/dy``;
     with ``theta = 0`` even that collapses to a pass-through. Weight and
     bias gradients take both routes through F (the x evaluation weighted by
@@ -832,19 +828,19 @@ def backward(
     return _like(grad_x, grad_y), grad_a[0], grad_b[0]
 
 
-def make_tape(cfg: ImplicitBlockConfig, params: BlockParams, x, y) -> TapeEntry:
-    """Rebuild a tape from known endpoint states (the tape-free path)."""
+def make_tape(cfg: ImplicitBlockConfig, params: BlockStack, x, y) -> TapeEntry:
+    """Rebuild the tape of the block of a stack of one from known endpoint states (the tape-free path)."""
     x = _columns(params, x)
     y = _columns(params, y)
-    w = params.effective_weight()
+    w, b = params.effective_weight()[0], params.b[0]
     act = cfg.activation
-    sx = act.deriv_from_value(act.apply(_affine(w, params.b, x)))
-    sy = act.deriv_from_value(act.apply(_affine(w, params.b, y)))
+    sx = act.deriv_from_value(act.apply(_affine(w, b, x)))
+    sy = act.deriv_from_value(act.apply(_affine(w, b, y)))
     return TapeEntry(x, y, sx, sy, w)
 
 
-def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.ndarray:
-    """Invert the block: recover ``x`` from ``y`` without any stored tape.
+def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockStack, y) -> np.ndarray:
+    """Invert the block of a stack of one: recover ``x`` from ``y`` without any stored tape.
 
     Solves ``x = y - h theta F(y) - h(1-theta)F(x)`` with the block's
     solver, started from ``x0 = y - h F(y)``. At ``theta = 1`` that start
@@ -855,8 +851,7 @@ def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockParams, y) -> np.nd
     construction whenever their own forward iteration does.
     """
     yc = _columns(params, y)
-    w = params.effective_weight()
-    b = params.b
+    w, b = params.effective_weight()[0], params.b[0]
     act = cfg.activation
 
     # F(y), then the start x0 = y - h F(y) made over it.

@@ -132,7 +132,8 @@ class Model:
     """``blocks`` stacks every block's matrix and bias (see ``BlockStack``).
 
     The blocks compute with ``blocks.mode`` and a checkpoint records
-    ``spec.weight_mode``, so the two must agree. Neither can be replaced
+    ``spec.weight_mode``, so the two must agree; so must the stack's shape
+    and the spec's, whose depth sets ``h``. Neither can be replaced
     afterwards; the parameter arrays are updated in place.
     """
 
@@ -147,6 +148,9 @@ class Model:
                 f"blocks compute in weight mode {self.blocks.mode.value!r} "
                 f"but the spec says {self.spec.weight_mode.value!r}"
             )
+        shape = (self.spec.depth, self.spec.hidden_dim, self.spec.hidden_dim)
+        if self.blocks.a.shape != shape:
+            raise DimensionMismatchError(f"block stack {self.blocks.a.shape} is not the spec's {shape}")
 
 
 @dataclass
@@ -625,7 +629,7 @@ def save_model(m: Model, path) -> None:
         "version": CHECKPOINT_VERSION,
         "spec": write_settings(m.spec),
         "lift": {"w": m.lift.w.tolist(), "b": m.lift.b.tolist()},
-        "blocks": [{"a": b.a.tolist(), "b": b.b.tolist()} for b in m.blocks],
+        "blocks": [{"a": a.tolist(), "b": b.tolist()} for a, b in zip(m.blocks.a, m.blocks.b)],
         "proj": {"w": m.proj.w.tolist(), "b": m.proj.b.tolist()},
     }
     Path(path).write_text(json.dumps(doc, indent=1))

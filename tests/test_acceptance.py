@@ -21,7 +21,7 @@ from implicitnet.cli import load_experiment
 from implicitnet.errors import SolverDivergedError
 from implicitnet.implicitblock import (
     ActivationKind,
-    BlockParams,
+    BlockStack,
     ImplicitBlockConfig,
     WeightMode,
     backward,
@@ -131,7 +131,7 @@ def _block_grad_max_err(cfg, params, x, probe, fd_step=1e-6):
     y, tape = forward(cfg, params, x)
     gx, ga, gb = backward(cfg, params, tape, probe)
     worst = 0.0
-    for arr, grad in ((params.a, ga), (params.b, gb), (x, gx)):
+    for arr, grad in ((params.a[0], ga), (params.b[0], gb), (x, gx)):
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
@@ -158,13 +158,13 @@ def test_criterion_3_gradient_exactness():
             n, theta, h = combos[int(pick)]
             act = ActivationKind.TANH if i % 2 == 0 else ActivationKind.IDENTITY
             mode = WeightMode.SKEW_SYMMETRIC if i % 3 == 0 else WeightMode.RAW
-            params = BlockParams(
-                numkit.glorot_uniform(rng, n, n), rng.uniform(-0.5, 0.5, n), mode
+            params = BlockStack(
+                [numkit.glorot_uniform(rng, n, n)], [rng.uniform(-0.5, 0.5, n)], mode
             )
             if theta > 0:
-                norm = np.abs(params.effective_weight()).sum(axis=1).max()
+                norm = np.abs(params.effective_weight()[0]).sum(axis=1).max()
                 if h * theta * norm > 0.5:
-                    params.a *= 0.5 / (h * theta * norm)
+                    params.a[...] *= 0.5 / (h * theta * norm)
             cfg = ImplicitBlockConfig(theta=theta, h=h, activation=act)
             err = _block_grad_max_err(cfg, params, rng.standard_normal(n), rng.standard_normal(n))
             worst = max(worst, err)
@@ -172,7 +172,7 @@ def test_criterion_3_gradient_exactness():
 
         # Reduced published weight-gradient formula must fail on the same kind
         # of instance, and the scalar case must reproduce the analytic values.
-        scal = BlockParams(np.array([[0.5]]), np.zeros(1))
+        scal = BlockStack(np.array([[[0.5]]]), np.zeros((1, 1)))
         cfg = ImplicitBlockConfig(theta=0.5, h=1.0, activation=ActivationKind.IDENTITY)
         y, tape = forward(cfg, scal, np.array([1.0]))
         gx, ga, _ = backward(cfg, scal, tape, np.array([1.0]))
@@ -302,18 +302,18 @@ def test_criterion_8_linear_block_closed_form():
             n = int(rng.integers(1, 9))
             theta = float(rng.uniform(0.1, 1.0))
             h = float(rng.uniform(0.05, 0.6))
-            params = BlockParams(
-                numkit.glorot_uniform(rng, n, n), rng.uniform(-0.5, 0.5, n)
+            params = BlockStack(
+                [numkit.glorot_uniform(rng, n, n)], [rng.uniform(-0.5, 0.5, n)]
             )
-            norm = np.abs(params.a).sum(axis=1).max()
+            norm = np.abs(params.a[0]).sum(axis=1).max()
             if h * theta * norm > 0.5:
-                params.a *= 0.5 / (h * theta * norm)
+                params.a[...] *= 0.5 / (h * theta * norm)
             cfg = ImplicitBlockConfig(theta=theta, h=h, activation=ActivationKind.IDENTITY)
             x = rng.standard_normal(n)
             y, _ = forward(cfg, params, x)
-            w = params.effective_weight()
+            w = params.effective_weight()[0]
             lhs = np.eye(n) - theta * h * w
-            rhs = (np.eye(n) + (1.0 - theta) * h * w) @ x + h * params.b
+            rhs = (np.eye(n) + (1.0 - theta) * h * w) @ x + h * params.b[0]
             expected = np.linalg.solve(lhs, rhs)
             worst = max(
                 worst,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from implicitnet import implicitblock, network, numkit
 from implicitnet.cli import build_data, load_experiment
+from implicitnet.datasets import LabeledSet, SetKind
 from implicitnet.errors import (
     DimensionMismatchError,
     SingularMatrixError,
@@ -20,7 +21,6 @@ from implicitnet.errors import (
 from implicitnet.implicitblock import (
     SWEEP_RATE,
     ActivationKind,
-    BlockParams,
     BlockStack,
     ImplicitBlockConfig,
     TapeEntry,
@@ -40,7 +40,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def scalar_block(w=0.5, theta=0.5, h=1.0, **kw):
-    params = BlockParams(np.array([[w]]), np.zeros(1))
+    params = BlockStack(np.array([[[w]]]), np.zeros((1, 1)))
     cfg = ImplicitBlockConfig(theta=theta, h=h, activation=ActivationKind.IDENTITY, **kw)
     return cfg, params
 
@@ -115,12 +115,12 @@ def exact_solves():
 def random_block(rng, n, mode=WeightMode.RAW, act=ActivationKind.TANH, theta=0.5, h=0.1, scale_to=None):
     a = numkit.glorot_uniform(rng, n, n)
     b = rng.uniform(-0.5, 0.5, n)
-    params = BlockParams(a, b, mode)
+    params = BlockStack([a], [b], mode)
     if scale_to is not None and theta > 0:
-        w = params.effective_weight()
+        w = params.effective_weight()[0]
         norm = np.abs(w).sum(axis=1).max()
         if h * theta * norm > scale_to:
-            params.a *= scale_to / (h * theta * norm)
+            params.a[...] *= scale_to / (h * theta * norm)
     cfg = ImplicitBlockConfig(theta=theta, h=h, activation=act)
     return cfg, params
 
@@ -148,7 +148,7 @@ class TestActivationApply:
 
 class TestEffectiveWeight:
     def skew(self, a):
-        return BlockParams(a, np.zeros(len(a)), WeightMode.SKEW_SYMMETRIC).effective_weight()
+        return BlockStack([a], np.zeros((1, len(a))), WeightMode.SKEW_SYMMETRIC).effective_weight()[0]
 
     def test_hand_case(self):
         np.testing.assert_array_equal(self.skew([[1.0, 2.0], [3.0, 4.0]]), [[0.0, -1.0], [1.0, 0.0]])
@@ -183,28 +183,28 @@ class TestEffectiveWeight:
 
 class TestBlockFn:
     def test_zero_map(self):
-        p = BlockParams(np.zeros((2, 2)), np.zeros(2))
+        p = BlockStack(np.zeros((1, 2, 2)), np.zeros((1, 2)))
         np.testing.assert_array_equal(
             block_fn(p, ActivationKind.IDENTITY, np.array([3.0, -1.0])), [0.0, 0.0]
         )
 
     def test_scalar_affine(self):
-        p = BlockParams(np.array([[0.5]]), np.zeros(1))
+        p = BlockStack(np.array([[[0.5]]]), np.zeros((1, 1)))
         np.testing.assert_array_equal(block_fn(p, ActivationKind.IDENTITY, np.array([1.0])), [0.5])
 
     def test_tanh_values(self):
-        p = BlockParams(np.eye(2), np.zeros(2))
+        p = BlockStack([np.eye(2)], [np.zeros(2)])
         out = block_fn(p, ActivationKind.TANH, np.array([0.0, 10.0]))
         assert out[0] == 0.0
         assert out[1] == pytest.approx(0.9999999958776927, abs=1e-15)
 
     def test_skew_mode_uses_skew_weight(self):
-        p = BlockParams(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2), WeightMode.SKEW_SYMMETRIC)
+        p = BlockStack([np.array([[1.0, 2.0], [3.0, 4.0]])], [np.zeros(2)], WeightMode.SKEW_SYMMETRIC)
         out = block_fn(p, ActivationKind.IDENTITY, np.array([1.0, 0.0]))
         np.testing.assert_array_equal(out, [0.0, 1.0])
 
     def test_dimension_mismatch(self):
-        p = BlockParams(np.eye(2), np.zeros(2))
+        p = BlockStack([np.eye(2)], [np.zeros(2)])
         with pytest.raises(DimensionMismatchError):
             block_fn(p, ActivationKind.TANH, np.ones(3))
 
@@ -219,18 +219,18 @@ class TestBlockJacobian:
     def test_identity_activation_gives_weight(self):
         rng = numkit.make_rng(0)
         a = rng.standard_normal((3, 3))
-        p = BlockParams(a, rng.standard_normal(3))
+        p = BlockStack([a], [rng.standard_normal(3)])
         np.testing.assert_array_equal(jacobian_x(p, ActivationKind.IDENTITY, rng.standard_normal(3)), a)
 
     def test_relu_dead_region_is_zero(self):
-        p = BlockParams(np.eye(2), np.array([-5.0, -5.0]))
+        p = BlockStack([np.eye(2)], [np.array([-5.0, -5.0])])
         j = jacobian_x(p, ActivationKind.RELU, np.array([0.5, 0.5]))
         np.testing.assert_array_equal(j, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("act", [ActivationKind.TANH, ActivationKind.SIGMOID])
     def test_matches_finite_differences(self, act):
         rng = numkit.make_rng(3)
-        p = BlockParams(rng.standard_normal((4, 4)) * 0.6, rng.standard_normal(4) * 0.3)
+        p = BlockStack([rng.standard_normal((4, 4)) * 0.6], [rng.standard_normal(4) * 0.3])
         v = rng.standard_normal(4)
         j = jacobian_x(p, act, v)
         eps = 1e-6
@@ -270,9 +270,9 @@ class TestForward:
         # solve: identity and ReLU blocks read the start's residual in
         # Newton, tanh blocks in their first sweep. With a negative bias a
         # ReLU block's F is zero too.
-        zero = BlockParams(np.zeros((3, 3)), np.zeros(3))
+        zero = BlockStack(np.zeros((1, 3, 3)), np.zeros((1, 3)))
         cases = [(act, zero) for act in (ActivationKind.IDENTITY, ActivationKind.TANH, ActivationKind.RELU)]
-        cases.append((ActivationKind.RELU, BlockParams(np.zeros((3, 3)), np.full(3, -0.5))))
+        cases.append((ActivationKind.RELU, BlockStack(np.zeros((1, 3, 3)), np.full((1, 3), -0.5))))
         for act, p in cases:
             cfg = ImplicitBlockConfig(theta=0.7, h=0.3, activation=act)
             for x in (np.array([0.4, -1.2, 2.0]), numkit.make_rng(5).standard_normal((3, 4))):
@@ -323,7 +323,7 @@ class TestForward:
             n, batch = int(rng.choice([5, 6])), int(rng.choice([1, 4, 32]))
             h, act = float(rng.choice([0.2, 0.6])), acts[int(rng.integers(3))]
             a = rng.uniform(0.5, 4.0) * numkit.glorot_uniform(rng, n, n)
-            p = BlockParams(a, rng.uniform(-0.5, 0.5, n), WeightMode.SKEW_SYMMETRIC)
+            p = BlockStack([a], [rng.uniform(-0.5, 0.5, n)], WeightMode.SKEW_SYMMETRIC)
             cfg = ImplicitBlockConfig(theta=0.5, h=h, activation=act)
             x = rng.standard_normal((n, batch))
             y, _ = forward(cfg, p, x)
@@ -342,14 +342,14 @@ class TestForward:
         for _ in range(20):
             n = int(rng.integers(1, 7))
             cfg, p = random_block(rng, n, act=ActivationKind.IDENTITY, theta=0.5, h=0.3, scale_to=0.5)
-            w = p.effective_weight()
+            w = p.effective_weight()[0]
             x = rng.standard_normal(n)
             f_evals.clear()
             solves.clear()
             y, _ = forward(cfg, p, x)
             assert (len(solves), len(f_evals)) == (1, 3)
             lhs = np.eye(n) - cfg.theta * cfg.h * w
-            rhs = (np.eye(n) + (1 - cfg.theta) * cfg.h * w) @ x + cfg.h * p.b
+            rhs = (np.eye(n) + (1 - cfg.theta) * cfg.h * w) @ x + cfg.h * p.b[0]
             expected = np.linalg.solve(lhs, rhs)
             assert np.abs(y - expected).max() <= 1e-12 * (1 + np.abs(expected).max())
 
@@ -360,7 +360,7 @@ class TestForward:
         # misses in its second row, so the early Newton meets the singular
         # matrix at once; the fallback sweeps contract at 0.1 per sweep and
         # solve it without Newton.
-        p = BlockParams(np.diag([2.0, 0.2]), np.zeros(2))
+        p = BlockStack([np.diag([2.0, 0.2])], [np.zeros(2)])
         cfg = ImplicitBlockConfig(theta=0.5, h=1.0, activation=ActivationKind.IDENTITY)
         y, _ = forward(cfg, p, np.array([0.0, 1.0]))
         assert solves == [1]
@@ -385,8 +385,8 @@ class TestForward:
         # evaluations here; Newton from the start takes 4: F(x), F at the
         # start and two full Newton steps.
         rng = numkit.make_rng(1)
-        p = BlockParams(rng.standard_normal((4, 4)), rng.uniform(-0.5, 0.5, 4), WeightMode.SKEW_SYMMETRIC)
-        h = 2.4 / np.abs(p.effective_weight()).sum(axis=1).max()
+        p = BlockStack([rng.standard_normal((4, 4))], [rng.uniform(-0.5, 0.5, 4)], WeightMode.SKEW_SYMMETRIC)
+        h = 2.4 / np.abs(p.effective_weight()[0]).sum(axis=1).max()
         cfg = ImplicitBlockConfig(theta=0.5, h=h, activation=ActivationKind.RELU)
         x = rng.standard_normal((4, 8))
         y, _ = forward(cfg, p, x)
@@ -407,7 +407,7 @@ class TestForward:
         # hands over to Newton under the SWEEP_RATE rule, which solves it in
         # one more step.
         rng = numkit.make_rng(3)
-        p = BlockParams(3.89 * numkit.glorot_uniform(rng, 5, 5), rng.uniform(-0.5, 0.5, 5))
+        p = BlockStack([3.89 * numkit.glorot_uniform(rng, 5, 5)], [rng.uniform(-0.5, 0.5, 5)])
         cfg = ImplicitBlockConfig(theta=1.0, h=0.6, activation=ActivationKind.RELU)
         x = rng.standard_normal((5, 1))
         y, _ = forward(cfg, p, x)
@@ -418,7 +418,7 @@ class TestForward:
         rng = numkit.make_rng(6)
         cfg, p = random_block(rng, 4, act=ActivationKind.TANH, theta=0.5, h=0.5, scale_to=0.45)
         x = rng.standard_normal(4)
-        rate = cfg.h * cfg.theta * np.abs(p.effective_weight()).sum(axis=1).max()
+        rate = cfg.h * cfg.theta * np.abs(p.effective_weight()[0]).sum(axis=1).max()
         assert rate < 1.0
         base = x + cfg.h * (1 - cfg.theta) * block_fn(p, cfg.activation, x)
         y = x.copy()
@@ -475,7 +475,7 @@ class TestSweepRuns:
         rng = numkit.make_rng(seed)
         n, batch = int(rng.choice([5, 6])), int(rng.choice([1, 4, 32]))
         a = rng.uniform(0.5, 4.0) * numkit.glorot_uniform(rng, n, n)
-        p = BlockParams(a, rng.uniform(-0.5, 0.5, n), mode)
+        p = BlockStack([a], [rng.uniform(-0.5, 0.5, n)], mode)
         cfg = ImplicitBlockConfig(theta=theta, h=0.2, activation=act)
         x = 10.0**exponent * rng.standard_normal((n, batch))
         with exact_solves(), np.errstate(over="ignore", invalid="ignore"):
@@ -523,7 +523,7 @@ class TestSweepRuns:
         # sweeps contract at about 0.6 per sweep, above SWEEP_RATE: the
         # start's read and the rate read one sweep later are the only
         # reads, and Newton finishes the solve.
-        p = BlockParams(1.2 * np.eye(3), np.zeros(3))
+        p = BlockStack([1.2 * np.eye(3)], [np.zeros(3)])
         cfg = ImplicitBlockConfig(theta=0.5, h=1.0, activation=ActivationKind.TANH)
         x = np.array([0.05, -0.02, 0.01])
         y, _ = forward(cfg, p, x)
@@ -707,9 +707,9 @@ class TestBackward:
         y, tape = forward(cfg, p, x)
         g = rng.standard_normal(3)
         gx, _, _ = backward(cfg, p, tape, g)
-        w = p.effective_weight()
+        w = p.effective_weight()[0]
         act = cfg.activation
-        jx = act.deriv_from_value(act.apply(w @ x + p.b))[:, None] * w
+        jx = act.deriv_from_value(act.apply(w @ x + p.b[0]))[:, None] * w
         expected = (np.eye(3) + cfg.h * jx).T @ g
         np.testing.assert_allclose(gx, expected, atol=1e-14)
 
@@ -768,7 +768,7 @@ class TestBackward:
         probe = rng.standard_normal(3)
 
         def loss_at(params_a, params_b, x_in):
-            q = BlockParams(params_a, params_b, mode)
+            q = BlockStack(params_a, params_b, mode)
             y, _ = forward(cfg, q, x_in)
             return float(probe @ y)
 
@@ -776,7 +776,7 @@ class TestBackward:
         gx, ga, gb = backward(cfg, p, tape, probe)
         eps = 1e-6
 
-        for arr, grad in ((p.a, ga), (p.b, gb)):
+        for arr, grad in ((p.a[0], ga), (p.b[0], gb)):
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -797,7 +797,7 @@ class TestBackward:
 
 class TestReconstructInput:
     def test_zero_map(self):
-        p = BlockParams(np.zeros((2, 2)), np.zeros(2))
+        p = BlockStack(np.zeros((1, 2, 2)), np.zeros((1, 2)))
         cfg = ImplicitBlockConfig(theta=0.5, h=1.0, activation=ActivationKind.TANH)
         y = np.array([1.3, -0.4])
         np.testing.assert_allclose(reconstruct_input(cfg, p, y), y, atol=1e-12)
@@ -904,6 +904,41 @@ class TestConfigValidation:
 
     def test_block_shapes(self):
         with pytest.raises(DimensionMismatchError):
-            BlockParams(np.ones((2, 3)), np.zeros(2))
+            BlockStack(np.ones((1, 2, 3)), np.zeros((1, 2)))
         with pytest.raises(DimensionMismatchError):
-            BlockParams(np.ones((2, 2)), np.zeros(3))
+            BlockStack(np.ones((1, 2, 2)), np.zeros((1, 3)))
+        with pytest.raises(DimensionMismatchError):
+            BlockStack(np.ones((2, 2)), np.zeros(2))
+
+    def test_integer_stack_trains(self):
+        # The arrays are made float where the stack is made: an integer
+        # stack once reached train and died on the in-place update with an
+        # untyped UFuncTypeError.
+        blocks = BlockStack(np.zeros((2, 3, 3), dtype=int), np.zeros((2, 3), dtype=int))
+        assert blocks.a.dtype == blocks.b.dtype == np.float64
+        spec = network.ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=2, theta=0.5)
+        init = network.init_model(spec, 0)
+        m = network.Model(init.lift, blocks, init.proj, spec)
+        xs = np.linspace(-1.0, 1.0, 8)
+        data = LabeledSet(xs, np.sin(xs), SetKind.REGRESSION)
+        rec = network.train(m, data, data, network.TrainConfig(0.05, 4, 2))
+        assert not rec.diverged
+        assert np.abs(m.blocks.a).max() > 0.0
+
+    def test_single_block_functions_take_a_stack_of_one(self):
+        cfg = ImplicitBlockConfig(theta=0.5, h=0.1, activation=ActivationKind.TANH)
+        one = BlockStack(np.zeros((1, 2, 2)), np.zeros((1, 2)))
+        x = np.ones(2)
+        _, tape = forward(cfg, one, x)
+        calls = {
+            "block_fn": lambda p: block_fn(p, cfg.activation, x),
+            "forward": lambda p: forward(cfg, p, x),
+            "backward": lambda p: backward(cfg, p, tape, x),
+            "make_tape": lambda p: make_tape(cfg, p, x, x),
+            "reconstruct_input": lambda p: reconstruct_input(cfg, p, x),
+        }
+        for name, call in calls.items():
+            call(one)
+            for depth in (0, 2):
+                with pytest.raises(DimensionMismatchError, match="stack of one"):
+                    call(BlockStack(np.zeros((depth, 2, 2)), np.zeros((depth, 2))))

@@ -24,6 +24,7 @@ from implicitnet.errors import (
 )
 from implicitnet.implicitblock import (
     ActivationKind,
+    BlockStack,
     WeightMode,
     backward,
     forward,
@@ -200,7 +201,7 @@ class TestRegularizer:
         value, (ga, gb) = regularizer(m)
         eps = 1e-6
         for k, blk in enumerate(m.blocks):
-            for arr, grad in ((blk.a, ga[k]), (blk.b, gb[k])):
+            for arr, grad in ((blk.a[0], ga[k]), (blk.b[0], gb[k])):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     idx = it.multi_index
@@ -222,8 +223,8 @@ class TestRegularizer:
         da = rng.standard_normal(m.blocks[0].a.shape)
         db = rng.standard_normal(m.blocks[0].b.shape)
         for blk in m.blocks:
-            blk.a += da
-            blk.b += db
+            blk.a[...] += da
+            blk.b[...] += db
         assert regularizer(m)[0] == pytest.approx(v0, rel=1e-9, abs=1e-12)
 
     def test_peak_holds_its_own_gradient_only(self, peak_kib):
@@ -385,8 +386,8 @@ class TestLossAndGrad:
         visited = []
 
         def failing_at_block_1(cfg, params, y):
-            # The block whose stack rows ``params`` views.
-            visited.append(next(i for i in range(4) if np.shares_memory(params.a, m.blocks.a[i])))
+            # The block whose matrix the rows of ``params`` hold.
+            visited.append(next(i for i in range(4) if np.array_equal(params.a[0], m.blocks.a[i])))
             if visited[-1] == 1:
                 raise SolverDivergedError("forced", residual=1.0)
             return reconstruct(cfg, params, y)
@@ -629,7 +630,7 @@ class TestSkewSpectrum:
         m = init_model(small_spec(weight_mode=WeightMode.SKEW_SYMMETRIC, depth=3), seed)
         rng = numkit.make_rng(seed + 2)
         for blk in m.blocks:
-            w = blk.effective_weight()
+            w = blk.effective_weight()[0]
             for _ in range(4):
                 v = rng.standard_normal(w.shape[0])
                 assert abs(v @ w @ v) <= 1e-12 * (v @ v) * max(1.0, np.abs(w).max())
@@ -723,6 +724,16 @@ class TestCheckpoint:
             m.blocks.mode = WeightMode.RAW
         with pytest.raises(ValueError, match="weight mode"):
             Model(m.lift, m.blocks, m.proj, raw_spec)
+
+    def test_blocks_cannot_disagree_with_the_spec(self):
+        # Four blocks under a depth-2 spec would train with h = horizon / 2,
+        # a flow over twice the horizon, and save a checkpoint that
+        # load_model refuses.
+        m = init_model(small_spec(depth=2), 0)
+        for depth, width in ((4, 3), (2, 4), (0, 3)):
+            blocks = BlockStack(np.zeros((depth, width, width)), np.zeros((depth, width)))
+            with pytest.raises(DimensionMismatchError, match="block stack"):
+                Model(m.lift, blocks, m.proj, m.spec)
 
     @pytest.mark.parametrize("run", ["ex1_resnet", "ex1_trapezoidal", "ex2_resnet", "ex2_trapezoidal"])
     def test_bundled_checkpoints_rewrite_byte_for_byte(self, tmp_path, run):
@@ -832,7 +843,7 @@ class TestBundledHistories:
 
 
 class TestStackedStorage:
-    """``m.blocks`` holds two stacks; its per-block views write through to them."""
+    """``m.blocks`` holds two stacks; its per-block views, stacks of one, write through to them."""
 
     def trained_copy_of(self, m):
         model = copy.deepcopy(m)
@@ -844,10 +855,16 @@ class TestStackedStorage:
         spec = ModelSpec(input_dim=1, hidden_dim=3, output_dim=1, depth=3, theta=0.5)
         m = init_model(spec, 0)
         before = self.trained_copy_of(m)
-        m.blocks[1].a[0, 2] += 0.25
-        m.blocks[2].b[1] = -0.5
+        for i, blk in ((1, m.blocks[1]), (2, m.blocks[-1]), (0, next(iter(m.blocks)))):
+            assert isinstance(blk, BlockStack) and len(blk) == 1 and blk.mode is m.blocks.mode
+            assert blk.a.shape == (1, 3, 3) and blk.b.shape == (1, 3)
+            assert np.shares_memory(blk.a, m.blocks.a[i]) and np.shares_memory(blk.b, m.blocks.b[i])
+        m.blocks[1].a[0, 0, 2] += 0.25
+        m.blocks[2].b[0, 1] = -0.5
         assert m.blocks.a[1, 0, 2] == init_model(spec, 0).blocks.a[1, 0, 2] + 0.25
         assert m.blocks.b[2, 1] == -0.5
+        with pytest.raises(IndexError):
+            m.blocks[3]
         after = self.trained_copy_of(m)
         assert not np.array_equal(after.blocks.a, before.blocks.a)
 
@@ -859,9 +876,12 @@ class TestStackedStorage:
             np.testing.assert_array_equal(p, original, err_msg=name)
         assert not np.array_equal(twin.blocks.a, m.blocks.a)
         assert not np.shares_memory(twin.blocks.a, m.blocks.a)
+        # Only its own two stacks: no per-block view is stored to be copied.
+        assert vars(twin.blocks).keys() == {"a", "b", "mode"}
+        assert twin.blocks.a.base is None and twin.blocks.b.base is None
         for i, blk in enumerate(twin.blocks):
             assert np.shares_memory(blk.a, twin.blocks.a) and np.shares_memory(blk.b, twin.blocks.b)
-            blk.a[0, 0] = float(i)
+            blk.a[0, 0, 0] = float(i)
         assert list(twin.blocks.a[:, 0, 0]) == [0.0, 1.0, 2.0]
 
 
