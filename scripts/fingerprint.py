@@ -62,18 +62,18 @@ def counting():
     solve_many, reconstruct_input = numkit.solve_many, implicitblock.reconstruct_input
     apply = implicitblock.ActivationKind.apply
 
-    def counted_solve_many(mats, rhs):
+    def counted_solve_many(mats, *args, **kwargs):
         counts["solve_many.calls"] += 1
         counts["solve_many.systems"] += len(mats)
-        return solve_many(mats, rhs)
+        return solve_many(mats, *args, **kwargs)
 
-    def counted_reconstruct_input(*args):
+    def counted_reconstruct_input(*args, **kwargs):
         counts["reconstruct_input.calls"] += 1
-        return reconstruct_input(*args)
+        return reconstruct_input(*args, **kwargs)
 
-    def counted_apply(act, u):
+    def counted_apply(act, *args, **kwargs):
         counts["f_evals"] += 1
-        return apply(act, u)
+        return apply(act, *args, **kwargs)
 
     with (
         mock.patch.object(numkit, "solve_many", counted_solve_many),

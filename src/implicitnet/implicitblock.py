@@ -70,7 +70,7 @@ tape always holds ``(n, B)`` arrays. Parameter gradients returned by
 ``backward`` are summed over the batch.
 
 Parameters come in one type, ``BlockStack``, and a single block is a
-stack of one: ``block_fn``, ``forward``, ``backward``, ``make_tape`` and
+stack of one: ``block_fn``, ``forward``, ``backward`` and
 ``reconstruct_input`` take one. ``forward`` and ``backward`` are thin
 wrappers over the array-level core that a network runs, one loop per
 direction over every block, so every path uses the same formulas.
@@ -81,17 +81,19 @@ the tape's slopes once for all layers. Without a tape it makes each
 block's W only when the block runs, into one reused row, so the forward
 holds one block's weights and a few state rows at any depth; at
 ``theta = 0``, where nothing is solved, it builds them all at once.
-``pull_back_stack`` is the one backward loop: it runs the recursion,
-overwriting each block's slopes with its pulled-back ``px`` and ``py``,
-and consumes the tape. Only once it has released the weight stack does it
-make the unscaled parameter-gradient rows it returns, one batched product
-per route; ``param_grads`` scales, sums and skew-projects all the rows at
-once. The reversible path, ``pull_back_rebuilt``, rebuilds one block at a
-time with ``reconstruct_input`` and ``make_tape``, both handed one
-raw-mode stack of one whose rows take each block's W, made once, and b,
-runs ``pull_back_stack`` on that block's tape as a stack of one, and folds
-the block's routes into its finished row at once, so it returns finished
-gradients.
+``pull_back_stack`` is the backward loop over a tape: it runs the
+recursion, overwriting each block's slopes with its pulled-back ``px``
+and ``py``, and consumes the tape. Only once it has released the weight
+stack does it make the unscaled parameter-gradient rows it returns, one
+batched product per route; ``param_grads`` scales, sums and skew-projects
+all the rows at once. The reversible path, ``pull_back_rebuilt``,
+rebuilds one block at a time with ``reconstruct_input``, handed one
+raw-mode stack of one whose rows take each block's W, made once, and b.
+The inversion writes the F(x) and F(y) it makes into two rows that become
+the block's slopes, so no F is made twice. Both paths run one block's
+step of the recursion at ``theta > 0`` with ``_pull_back_block``; the
+reversible one then makes the block's routes and folds them into its
+finished row at once, so it returns finished gradients.
 
 At the package's sizes (width 5-6, batch 4-32) each NumPy call costs more
 than its arithmetic, so the solve and backward loops keep one operand
@@ -165,11 +167,13 @@ class ActivationKind(Enum):
         Every caller passes an array it has just made and does not read
         again, so no evaluation allocates its result.
         """
-        if self is ActivationKind.RELU:
-            np.maximum(u, _ZERO, out=u)
-        elif self is ActivationKind.TANH:
+        # Module aliases of the members, tanh first: an Enum attribute
+        # lookup costs more than the test.
+        if self is _TANH:
             np.tanh(u, out=u)
-        elif self is ActivationKind.SIGMOID:
+        elif self is _RELU:
+            np.maximum(u, _ZERO, out=u)
+        elif self is _SIGMOID:
             _sigmoid(u)
         return u
 
@@ -182,16 +186,19 @@ class ActivationKind(Enum):
         """
         if out is None:
             out = np.empty_like(value)
-        if self is ActivationKind.IDENTITY:
-            out[...] = _ONE
-        elif self is ActivationKind.RELU:
-            np.greater(value, _ZERO, out=out)
-        elif self is ActivationKind.TANH:
+        if self is _TANH:
             np.multiply(value, value, out=out)
             np.subtract(_ONE, out, out=out)
+        elif self is _RELU:
+            np.greater(value, _ZERO, out=out)
+        elif self is _IDENTITY:
+            out[...] = _ONE
         else:
             np.multiply(value, np.subtract(_ONE, value), out=out)
         return out
+
+
+_IDENTITY, _RELU, _TANH, _SIGMOID = ActivationKind
 
 
 def _sigmoid(u: np.ndarray) -> None:
@@ -412,7 +419,7 @@ def _solve_fixed_point(act, w, b, c, alpha, z, what, v, s):
     they read in it, and Newton keeps its iterate in it, so a caller that
     still holds the start holds no array the solver has left.
     """
-    if act is ActivationKind.IDENTITY or act is ActivationKind.RELU:
+    if act is not _TANH and act is not _SIGMOID:
         z, fz, res = _newton(act, w, b, c, alpha, z, act.apply(_affine(w, b, z)), EARLY_NEWTON_STEPS)
         if res <= SOLVER_TOL:
             return z, fz
@@ -461,8 +468,16 @@ def _sweeps(act, w, b, c, alpha, z):
     if they run out while still contracting, z steps past the last one and
     F is made there again. A missed solve comes back in the start array,
     where Newton keeps its iterate.
+
+    ``b`` is laid out once per solve as a row of ``z``'s shape. The start's
+    F, the ``W c + b`` row and every read add that row, which costs less
+    than broadcasting ``b`` and gives the same sums.
     """
-    fz = act.apply(_affine(w, b, z))
+    bias = np.empty_like(z)
+    bias[...] = b[:, None]
+    fz = np.dot(w, z)
+    fz += bias
+    act.apply(fz)
     # Spent rows take turns: an F row, once the next F is made, takes the
     # residual or the next pre-activation.
     row = np.empty_like(z)
@@ -483,7 +498,7 @@ def _sweeps(act, w, b, c, alpha, z):
         z += c
         # As _affine makes it: the pair a read accepts is bitwise (z, act(W z + b)).
         np.dot(w, z, out=row)
-        row += b[:, None]
+        row += bias
         fz, row = act.apply(row), t
         prev, res = res, _residual(c, alpha, z, fz, row)
         if res <= SOLVER_TOL or not res < SWEEP_RATE**run * prev:
@@ -491,7 +506,8 @@ def _sweeps(act, w, b, c, alpha, z):
         run = math.ceil(RUN_MARGIN * run * math.log(SOLVER_TOL / res) / math.log(res / prev))
         if aw is None:
             aw = np.multiply(w, alpha)
-            base = _affine(w, b, c)
+            base = np.dot(w, c)
+            base += bias
     # Out of sweeps while still contracting: z steps past the last F.
     np.multiply(fz, alpha, out=z)
     z += c
@@ -611,8 +627,9 @@ def solve_stack(cfg: ImplicitBlockConfig, blocks: BlockStack, x: np.ndarray, kee
         y += x
         if theta == 0.0:
             continue
+        # The solver keeps its iterate in its start array, the output row.
         try:
-            y[...], fy = _solve_fixed_point(
+            _, fy = _solve_fixed_point(
                 act, w, blocks.b[i], x + cfg.coef_x * fx, cfg.coef_y, y, "block solver", x, h
             )
         except SolverDivergedError as exc:
@@ -653,8 +670,13 @@ def grad_buffers(cfg: ImplicitBlockConfig, depth: int, width: int):
     of F. Route 1, the y evaluation, exists only when it carries weight:
     ``theta > 0`` and not ``cfg.paper_param_grad``.
     """
-    routes = 2 if cfg.theta > 0.0 and not cfg.paper_param_grad else 1
+    routes = _routes(cfg)
     return np.empty((routes, depth, width, width)), np.empty((routes, depth, width))
+
+
+def _routes(cfg: ImplicitBlockConfig) -> int:
+    """How many routes through F a block's parameter gradient takes: 1 or 2."""
+    return 2 if cfg.theta > 0.0 and not cfg.paper_param_grad else 1
 
 
 def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray):
@@ -688,48 +710,69 @@ def pull_back_stack(cfg: ImplicitBlockConfig, tape: TapeEntry, g: np.ndarray):
             g = o
     else:
         for i in range(len(tape.w) - 1, -1, -1):
-            w, sx, sy = tape.w[i], tape.sx[i], tape.sy[i]
-            # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
-            mats = _shifted_identity(w, sy, cfg.coef_y).transpose(0, 2, 1)
             try:
-                v = numkit.solve_many(mats, g.T).T
+                g = _pull_back_block(cfg, tape.w[i], tape.sx[i], tape.sy[i], g)
             except SingularMatrixError as exc:
                 exc.layer = i
                 raise
-            np.multiply(sx, v, out=sx)
-            np.multiply(sy, v, out=sy)
-            g = w.T @ sx
-            g *= cfg.coef_x
-            g += v
-            # Left bound, this block's Newton matrices would stay alive
-            # through the next block's solve and raise the peak memory.
-            del mats, v
     # The loops' views of the weight stack would keep it alive as long as
     # they are bound.
-    wt = w = tape.w = None
+    wt = tape.w = None
     depth, width = tape.sx.shape[:2]
     gw, gb = grad_buffers(cfg, depth, width)
-    np.matmul(tape.sx, tape.x.swapaxes(-1, -2), out=gw[0])
-    np.add.reduce(tape.sx, -1, out=gb[0])
-    if len(gw) == 2:
-        np.matmul(tape.sy, tape.y.swapaxes(-1, -2), out=gw[1])
-        np.add.reduce(tape.sy, -1, out=gb[1])
+    _route_rows(gw, gb, tape.sx, tape.x, tape.sy, tape.y)
     return g, gw, gb
+
+
+def _pull_back_block(cfg: ImplicitBlockConfig, w, sx, sy, g) -> np.ndarray:
+    """One implicit block's step of the backward recursion; returns the gradient at its input.
+
+    Solves ``(I - h theta diag(sy) W)^T v = g`` per column, overwrites the
+    slope rows ``sx`` and ``sy`` with ``px = sx * v`` and ``py = sy * v``,
+    and returns ``v + h(1-theta) W^T px``. ``pull_back_stack`` and
+    ``pull_back_rebuilt`` both run it, so the recursion has one body.
+    """
+    # (I - h theta diag(sy) W)^T = I - h theta W^T diag(sy), per column.
+    # The Newton matrices go once v is made, before the next block's.
+    v = numkit.solve_many(_shifted_identity(w, sy, cfg.coef_y).transpose(0, 2, 1), g.T).T
+    np.multiply(sx, v, out=sx)
+    np.multiply(sy, v, out=sy)
+    g = w.T @ sx
+    g *= cfg.coef_x
+    g += v
+    return g
+
+
+def _route_rows(gw, gb, px, x, py, y) -> None:
+    """Write the unscaled parameter-gradient rows of one block or of a stack.
+
+    Route 0, ``px @ x^T`` and the row sums of ``px``, goes into ``gw[0]``
+    and ``gb[0]``; route 1, made likewise from ``py`` and ``y``, into
+    ``gw[1]`` and ``gb[1]`` when the rows have it.
+    """
+    np.matmul(px, x.swapaxes(-1, -2), out=gw[0])
+    np.add.reduce(px, -1, out=gb[0])
+    if len(gw) == 2:
+        np.matmul(py, y.swapaxes(-1, -2), out=gw[1])
+        np.add.reduce(py, -1, out=gb[1])
 
 
 def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g):
     """Pull ``g`` back through every block from the last block's output ``y`` alone.
 
-    The tape-free backward: going down, each block's input is rebuilt with
-    ``reconstruct_input`` and its tape with ``make_tape``, and
-    ``pull_back_stack`` runs on that tape as a stack of one. That block's
-    routes are folded at once into its row of one ``(L, n, n)`` and
-    ``(L, n)`` row set, as ``param_grads`` folds a whole stack, so one
-    block's tape and routes are alive at a time, next to the finished rows.
-    The stack of effective weights is not kept: holding it through backward
-    would raise the step's peak memory. Each block's W is made once, into
-    the row of one raw-mode stack of one that takes each block's W and b
-    in turn and is handed to both ``reconstruct_input`` and ``make_tape``.
+    The tape-free backward, for ``theta > 0``. Going down, each block's
+    input is rebuilt with ``reconstruct_input``, which also writes the
+    F(x) and F(y) it makes into two rows made once, here. One
+    ``deriv_from_value`` call turns both rows into slopes in place, and
+    ``_pull_back_block`` runs the block's step of the recursion on them.
+    The block's route rows are then made and folded straight into its
+    finished row of one ``(L, n, n)`` and ``(L, n)`` row set, in
+    ``param_grads``' order. So each F is made once, and one block's state
+    and slopes are alive at a time, next to the finished rows. The stack
+    of effective weights is not kept: holding it through backward would
+    raise the step's peak memory. Each block's W is made once, into the
+    row of one raw-mode stack of one that takes each block's W and b in
+    turn and is handed to ``reconstruct_input``.
 
     Returns ``(grad_x, grad_a, grad_b)``: the gradient at the first block's
     input and the finished parameter gradients, stacked by block and owning
@@ -742,25 +785,33 @@ def pull_back_rebuilt(cfg: ImplicitBlockConfig, blocks: BlockStack, y, g):
     # One stack of one, whose rows the loop writes: a generator such as
     # _weights_in_turn keeps about 0.8 KiB more alive through a spirals-reversible step.
     blk = BlockStack(np.empty((1, width, width)), np.empty((1, width)))
+    w = blk.a[0]
+    # F(x) and F(y), then their slopes, then px and py.
+    f_rows = np.empty((2,) + g.shape)
+    sx, sy = f_rows
+    routes = _routes(cfg)
     for i in range(depth - 1, -1, -1):
         if blocks.mode is WeightMode.SKEW_SYMMETRIC:
-            _skew(blocks.a[i], blk.a[0])
+            _skew(blocks.a[i], w)
         else:
-            blk.a[0] = blocks.a[i]
+            w[...] = blocks.a[i]
         blk.b[0] = blocks.b[i]
         try:
-            x = reconstruct_input(cfg, blk, y)
-            tape = make_tape(cfg, blk, x, y)
-            # As a stack of one whose W is blk's own a (blk is raw-mode): the
-            # single-block tape and its view of that W go before the solve.
-            tape = TapeEntry(x[None], y[None], tape.sx[None], tape.sy[None], blk.a)
-            g, gw, gb = pull_back_stack(cfg, tape, g)
+            x = reconstruct_input(cfg, blk, y, f_rows)
+            cfg.activation.deriv_from_value(f_rows, out=f_rows)
+            g = _pull_back_block(cfg, w, sx, sy, g)
         except (SolverDivergedError, SingularMatrixError) as exc:
             exc.layer = i
             raise
-        _fold_routes(cfg, gw, gb, grad_w[i : i + 1], grad_b[i : i + 1])
-        # Freed before the next block's tape is built.
-        del tape, gw, gb
+        # Route 0 is made and folded in the block's finished row. Route 1's
+        # rows are made only now: held through the solve, they would raise
+        # the step's peak memory.
+        gw = [grad_w[i], np.empty((width, width))][:routes]
+        gb = [grad_b[i], np.empty(width)][:routes]
+        _route_rows(gw, gb, sx, x, sy, y)
+        _fold_routes(cfg, gw, gb, gw[0], gb[0])
+        # Freed before the next block is rebuilt.
+        del gw, gb
         y = x
     # In skew-symmetric mode grad_a = grad_W - grad_W^T, the map that makes W from a.
     return g, _skew(grad_w) if blocks.mode is WeightMode.SKEW_SYMMETRIC else grad_w, grad_b
@@ -828,18 +879,7 @@ def backward(
     return _like(grad_x, grad_y), grad_a[0], grad_b[0]
 
 
-def make_tape(cfg: ImplicitBlockConfig, params: BlockStack, x, y) -> TapeEntry:
-    """Rebuild the tape of the block of a stack of one from known endpoint states (the tape-free path)."""
-    x = _columns(params, x)
-    y = _columns(params, y)
-    w, b = params.effective_weight()[0], params.b[0]
-    act = cfg.activation
-    sx = act.deriv_from_value(act.apply(_affine(w, b, x)))
-    sy = act.deriv_from_value(act.apply(_affine(w, b, y)))
-    return TapeEntry(x, y, sx, sy, w)
-
-
-def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockStack, y) -> np.ndarray:
+def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockStack, y, f_rows=None) -> np.ndarray:
     """Invert the block of a stack of one: recover ``x`` from ``y`` without any stored tape.
 
     Solves ``x = y - h theta F(y) - h(1-theta)F(x)`` with the block's
@@ -849,16 +889,27 @@ def reconstruct_input(cfg: ImplicitBlockConfig, params: BlockStack, y) -> np.nda
     when ``h (1-theta) Lip(F) < 1``, which the time-symmetric
     ``theta = 0.5`` blocks used for reversible training satisfy by
     construction whenever their own forward iteration does.
+
+    ``f_rows``, a ``(2, n, B)`` array for an ``(n, B)`` batch ``y``,
+    receives the two values of F the inversion makes: F(x) at the returned
+    ``x`` in row 0, as the solver returns it, and F(y) in row 1, each
+    bitwise ``block_fn``'s. ``x`` is the same either way.
     """
     yc = _columns(params, y)
     w, b = params.effective_weight()[0], params.b[0]
     act = cfg.activation
 
-    # F(y), then the start x0 = y - h F(y) made over it.
-    x0 = act.apply(_affine(w, b, yc))
-    const = yc - cfg.coef_y * x0
-    np.subtract(yc, np.multiply(x0, cfg.coef_h, out=x0), out=x0)
-    x, _ = _solve_fixed_point(
+    # F(y), in its row when the caller keeps it; the start x0 = y - h F(y)
+    # is made over it otherwise.
+    fy = np.dot(w, yc, out=None if f_rows is None else f_rows[1])
+    fy += b[:, None]
+    act.apply(fy)
+    const = yc - cfg.coef_y * fy
+    x0 = np.multiply(fy, cfg.coef_h, out=fy if f_rows is None else None)
+    np.subtract(yc, x0, out=x0)
+    x, fx = _solve_fixed_point(
         act, w, b, const, cfg.neg_x, x0, "input reconstruction", yc, cfg.neg_h
     )
+    if f_rows is not None:
+        f_rows[0] = fx
     return _like(x, y)

@@ -28,7 +28,6 @@ from implicitnet.implicitblock import (
     backward,
     block_fn,
     forward,
-    make_tape,
     pull_back_rebuilt,
     pull_back_stack,
     reconstruct_input,
@@ -210,9 +209,8 @@ class TestBlockFn:
 
 
 def jacobian_x(params, act, v):
-    """dF/dv at the state ``v`` as backward uses it: ``sx[:, 0, None] * w`` of a tape."""
-    tape = make_tape(ImplicitBlockConfig(theta=0.5, h=1.0, activation=act), params, v, v)
-    return tape.sx[:, 0, None] * tape.w
+    """dF/dv at the state ``v`` as backward uses it: ``sx[:, None] * w``, with the slope taken from ``block_fn``'s value."""
+    return act.deriv_from_value(block_fn(params, act, v))[:, None] * params.effective_weight()[0]
 
 
 class TestBlockJacobian:
@@ -755,7 +753,8 @@ class TestBackward:
     def test_singular_solve_raises(self):
         # theta h W = 2 * 0.5 = 1 makes I - h theta dF/dy exactly singular.
         cfg, p = scalar_block(w=2.0)
-        tape = make_tape(cfg, p, np.array([0.0]), np.array([0.0]))
+        state, slope = np.zeros((1, 1)), np.ones((1, 1))
+        tape = TapeEntry(state, state, slope, slope, p.effective_weight()[0])
         with pytest.raises(SingularMatrixError):
             backward(cfg, p, tape, np.array([1.0]))
 
@@ -816,6 +815,22 @@ class TestReconstructInput:
         assert len(f_evals) <= 2
         expected = y - cfg.h * block_fn(p, cfg.activation, y)
         np.testing.assert_array_equal(x, expected)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("mode", [WeightMode.RAW, WeightMode.SKEW_SYMMETRIC])
+    @pytest.mark.parametrize("act", list(ActivationKind))
+    def test_f_rows_hold_block_fn_at_both_states(self, act, mode, theta):
+        # The reversible backward takes its slopes from these rows, so they
+        # must be F at the returned x and at the given y to the bit, and
+        # asking for them must leave x as it is without them.
+        rng = numkit.make_rng(21)
+        cfg, p = random_block(rng, 5, mode, act, theta=theta, h=0.5, scale_to=0.5)
+        y = rng.standard_normal((5, 7))
+        f_rows = np.empty((2, 5, 7))
+        x = reconstruct_input(cfg, p, y, f_rows)
+        assert x.tobytes() == reconstruct_input(cfg, p, y).tobytes()
+        assert f_rows[0].tobytes() == block_fn(p, act, x).tobytes()
+        assert f_rows[1].tobytes() == block_fn(p, act, y).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6))
@@ -934,7 +949,6 @@ class TestConfigValidation:
             "block_fn": lambda p: block_fn(p, cfg.activation, x),
             "forward": lambda p: forward(cfg, p, x),
             "backward": lambda p: backward(cfg, p, tape, x),
-            "make_tape": lambda p: make_tape(cfg, p, x, x),
             "reconstruct_input": lambda p: reconstruct_input(cfg, p, x),
         }
         for name, call in calls.items():

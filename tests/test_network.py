@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -25,10 +25,11 @@ from implicitnet.errors import (
 from implicitnet.implicitblock import (
     ActivationKind,
     BlockStack,
+    TapeEntry,
     WeightMode,
     backward,
+    block_fn,
     forward,
-    make_tape,
     reconstruct_input,
 )
 from implicitnet.network import (
@@ -176,6 +177,18 @@ def concatenated_regularizer(m):
     return value, (grad[:, : a[0].size].reshape(a.shape), grad[:, a[0].size :])
 
 
+@st.composite
+def regularizer_rows(draw):
+    """``(reg_coeff, a, b)``: a penalty weight and a block stack's rows to take the penalty of."""
+    depth, width = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    coeff = draw(st.sampled_from([1e-3, 0.1, 1.0, 7.5]))
+    # Repeated entries and signed zeros come up often, so zero differences
+    # of either sign are exercised along with ordinary ones.
+    entries = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-10.0, 10.0, allow_nan=False)
+    a = draw(arrays(np.float64, (depth, width, width), elements=entries))
+    return coeff, a, draw(arrays(np.float64, (depth, width), elements=entries))
+
+
 class TestRegularizer:
     def test_identical_layers_give_zero(self):
         m = init_model(small_spec(depth=3), 2)
@@ -237,26 +250,27 @@ class TestRegularizer:
         assert peak_kib(lambda: regularizer(m)) <= rows_kib + 1.0
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(2, 40),
-        st.integers(1, 6),
-        st.sampled_from([1e-3, 0.1, 1.0, 7.5]),
-        st.data(),
-    )
-    def test_matches_the_concatenated_formula(self, depth, width, coeff, data):
+    @given(regularizer_rows())
+    # A penalty at subnormal scale, where the two sums differ by one subnormal.
+    @example((1.0, np.array([[[5.5e-156]], [[0.0]]]), np.array([[0.0], [3.1e-156]])))
+    def test_matches_the_concatenated_formula(self, rows):
+        coeff, a, b = rows
+        depth, width = b.shape
         m = init_model(small_spec(depth=depth, hidden_dim=width, reg_coeff=coeff), 0)
-        # Repeated entries and signed zeros come up often, so zero
-        # differences of either sign are exercised along with ordinary ones.
-        entries = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-10.0, 10.0, allow_nan=False)
-        m.blocks.a[...] = data.draw(arrays(np.float64, m.blocks.a.shape, elements=entries))
-        m.blocks.b[...] = data.draw(arrays(np.float64, m.blocks.b.shape, elements=entries))
+        m.blocks.a[...] = a
+        m.blocks.b[...] = b
         want_value, want = concatenated_regularizer(m)
         value, got = regularizer(m)
         for g, w, p in zip(got, want, (m.blocks.a, m.blocks.b)):
             assert g.tobytes() == w.tobytes()
             assert g.shape == p.shape and g.flags.c_contiguous and g.flags.owndata
         # Summed per stack, not over the concatenated rows: a few ulps apart.
-        assert abs(value - want_value) <= 8 * np.finfo(float).eps * want_value
+        # Below the normal range an ulp is the smallest subnormal, which no
+        # relative bound can hold: each square rounds to within half of one,
+        # scaled by reg_coeff / depth <= 3.75, so a few per summed term.
+        terms = (depth - 1) * (width * width + width)
+        tiny = np.finfo(float).smallest_subnormal
+        assert abs(value - want_value) <= 8 * np.finfo(float).eps * want_value + 8 * terms * tiny
 
     def test_a_negative_zero_difference_keeps_the_concatenated_bits(self):
         # Along the stack the entries go +0, -0, +0, so the differences are
@@ -385,12 +399,12 @@ class TestLossAndGrad:
         reconstruct = implicitblock.reconstruct_input
         visited = []
 
-        def failing_at_block_1(cfg, params, y):
+        def failing_at_block_1(cfg, params, y, f_rows=None):
             # The block whose matrix the rows of ``params`` hold.
             visited.append(next(i for i in range(4) if np.array_equal(params.a[0], m.blocks.a[i])))
             if visited[-1] == 1:
                 raise SolverDivergedError("forced", residual=1.0)
-            return reconstruct(cfg, params, y)
+            return reconstruct(cfg, params, y, f_rows)
 
         monkeypatch.setattr(implicitblock, "reconstruct_input", failing_at_block_1)
         x = np.array([[0.3, -0.2], [0.1, 0.4]])
@@ -401,7 +415,7 @@ class TestLossAndGrad:
         assert visited == [3, 2, 1]
 
     def test_singular_backward_solve_carries_layer_index(self, monkeypatch):
-        # Every block makes one transposed solve in pull_back_stack, which
+        # Every block makes one transposed solve in _pull_back_block, which
         # visits layers 2, 1, 0 on the tape path and the reversible one. The
         # second of them, layer 1's, is forced to fail as a singular matrix
         # would; the forward and the inversions may solve as they need.
@@ -411,7 +425,7 @@ class TestLossAndGrad:
             backward_calls = []
 
             def singular_at_layer_1(mats, rhs):
-                if sys._getframe(1).f_code.co_name == "pull_back_stack":
+                if sys._getframe(1).f_code.co_name == "_pull_back_block":
                     backward_calls.append(1)
                     if len(backward_calls) == 2:
                         raise SingularMatrixError("forced singular backward solve")
@@ -613,6 +627,38 @@ class TestReversibleTraining:
                 _, _, g_rev, _ = _loss_and_grad_arrays(m, x, t, LossKind.SQUARED_ERROR, True)
                 for (name, _), a, b in zip(named_parameters(m), g_cached, g_rev):
                     assert np.abs(a - b).max() <= 1e-6, f"theta {theta}, {name}"
+
+    def test_backward_evaluates_f_only_inside_the_reconstructions(self, monkeypatch):
+        # pull_back_rebuilt takes every slope from the F values that
+        # reconstruct_input makes while it inverts a block, so no F is made
+        # in the backward outside an inversion.
+        m = init_model(small_spec(depth=4), 0)
+        active, evals = [], []
+        apply = ActivationKind.apply
+
+        def counted(act, u):
+            evals.append(tuple(active))
+            return apply(act, u)
+
+        def entering(name, fn):
+            def call(*args, **kwargs):
+                active.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    active.pop()
+
+            return call
+
+        monkeypatch.setattr(ActivationKind, "apply", counted)
+        for name in ("pull_back_rebuilt", "reconstruct_input"):
+            monkeypatch.setattr(implicitblock, name, entering(name, getattr(implicitblock, name)))
+        x = np.array([[0.3, -0.2], [0.1, 0.4]])
+        _loss_and_grad_arrays(m, x, np.zeros((1, 2)), LossKind.SQUARED_ERROR, True)
+        in_backward = [where for where in evals if "pull_back_rebuilt" in where]
+        # F(y) and at least the accepted F(x) for each of the four blocks.
+        assert len(in_backward) >= 2 * 4
+        assert all(where[-1] == "reconstruct_input" for where in in_backward)
 
     def test_reversible_training_runs(self):
         spec = ModelSpec(input_dim=1, hidden_dim=4, output_dim=1, depth=4, theta=0.5)
@@ -959,8 +1005,12 @@ class TestOneGradientFormula:
             blk = m.blocks[i]
             tape = tapes[i]
             if reversible:
+                # The tape rebuilt from block_fn's values, not from the rows
+                # the reconstruction hands the reversible backward.
                 x_in = reconstruct_input(block_cfg, blk, y)
-                tape = make_tape(block_cfg, blk, x_in, y)
+                act = block_cfg.activation
+                sx, sy = (act.deriv_from_value(block_fn(blk, act, v)) for v in (x_in, y))
+                tape = TapeEntry(x_in, y, sx, sy, blk.effective_weight()[0])
                 y = x_in
             g, grad_a, grad_b = backward(block_cfg, blk, tape, g)
             assert np.array_equal(grads[2][i], grad_a + reg_a[i]), f"blocks[{i}].a"
